@@ -5,68 +5,9 @@ noncentral chi-squared transition; the truncated Euler baseline is included
 for accuracy/efficiency comparisons. Pricing is Longstaff-Schwartz least
 squares Monte Carlo.
 """
-from .models import (
-    DoubleHestonParams,
-    FellerWarning,
-    HestonParams,
-    MarketPreset,
-    ParameterError,
-    PRESETS,
-    PutPayoff,
-    VarianceFactor,
-    feller_holds,
-    preset,
-    put_payoff,
-    validate,
-)
-from .sampling import (
-    MAX_POISSON_RATE,
-    NoncentralChiSqParams,
-    RngStream,
-    sample_gamma,
-    sample_noncentral_chisq,
-    sample_poisson,
-    sample_standard_normal,
-    sample_uniform,
-)
-from .simulation import (
-    BLOCK_SIZE,
-    CirTransition,
-    PathSet,
-    TimeGrid,
-    cir_conditional_moments,
-    cir_exact_step,
-    cir_transition_params,
-    double_heston_log_price_constants,
-    dump_paths_csv,
-    heston_log_price_constants,
-    simulate,
-    simulate_aes_double_heston,
-    simulate_aes_heston,
-    simulate_euler_double_heston,
-    simulate_euler_heston,
-    truncated_euler_variance_step,
-)
-from .lsm import (
-    BasisSpec,
-    ExerciseSchedule,
-    LsmResult,
-    backward_induction,
-    build_features,
-    lsm_price,
-    regress_continuation,
-)
-from .experiments import (
-    CaseResult,
-    ExperimentReport,
-    ExperimentSpec,
-    emit_report,
-    generate_reference_prices,
-    load_report_json,
-    report_from_dict,
-    report_to_dict,
-    run_experiment,
-    scaled,
-)
+from .models import PRESETS, DoubleHestonParams, HestonParams, PutPayoff, preset, validate
+from .simulation import PathSet, TimeGrid, simulate
+from .lsm import ExerciseSchedule, LsmResult, lsm_price
+from .experiments import ExperimentSpec, emit_report, load_report_json, run_experiment
 
 __version__ = "0.1.0"

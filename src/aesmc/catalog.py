@@ -2,7 +2,8 @@
 
 Config files are YAML (see ``configs/``); user-supplied files via
 ``--config`` use the same schema. ``run_table`` executes every experiment of
-a table config and writes one CSV and one JSON report per experiment.
+a table config, built-in or from a file, and writes one CSV and one JSON
+report per experiment.
 Figure runners produce the data behind the relative-error/time/memory
 figures, generating high-resolution Euler references on the fly when the
 config asks for ``source: self-euler``.
@@ -18,16 +19,16 @@ import numpy as np
 import yaml
 
 from .experiments import (
-    CSV_COLUMNS,
     ExperimentReport,
     ExperimentSpec,
     attach_references,
     emit_report,
     report_to_dict,
+    reports_csv,
     run_experiment,
     scaled,
 )
-from .lsm import BasisSpec, ExerciseSchedule, lsm_price
+from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff, preset
 from .simulation import TimeGrid, simulate
 
@@ -96,7 +97,6 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
         base_seed=int(entry.get("base_seed", 0)),
         reference_prices=tuple(reference["prices"]) if reference.get("prices") else None,
         reference_source=reference.get("source", ""),
-        include_cross_variance=bool(entry.get("include_cross_variance", True)),
     )
 
 
@@ -107,48 +107,25 @@ def table_specs(table_id) -> list[ExperimentSpec]:
     return [experiment_from_entry(e) for e in payload["experiments"]]
 
 
-def _apply_overrides(spec: ExperimentSpec, scale, runs, seed) -> ExperimentSpec:
-    spec = scaled(spec, scale, runs)
-    if seed is not None:
-        spec = replace(spec, base_seed=int(seed))
-    return spec
-
-
-def _emit(report: ExperimentReport, out_dir: Path, formats) -> list[Path]:
-    written = []
-    for fmt in formats:
-        path = out_dir / f"{report.experiment}.{fmt}"
-        emit_report(report, fmt, path)
-        written.append(path)
-    return written
-
-
 def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
               formats=("csv", "json"), n_workers=None) -> list[Path]:
-    """Run one table's experiments and write a report file per experiment."""
+    """Run one table's experiments and write a report file per experiment.
+
+    ``table_id`` is a catalog id ('1'..'6') or the path of a table config file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for spec in table_specs(table_id):
-        spec = _apply_overrides(spec, scale, runs, seed)
+        spec = scaled(spec, scale, runs)
+        if seed is not None:
+            spec = replace(spec, base_seed=int(seed))
         report = run_experiment(spec, n_workers=n_workers)
-        written.extend(_emit(report, out_dir, formats))
+        for fmt in formats:
+            path = out_dir / f"{report.experiment}.{fmt}"
+            emit_report(report, fmt, path)
+            written.append(path)
     return written
-
-
-def emit_rows_csv(reports, path) -> None:
-    """One CSV combining the standard rows of several reports."""
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        for case in report.cases:
-            row = [
-                report.experiment, case.case, report.scheme,
-                report.n_steps, report.n_paths, report.runs,
-                case.mean_price, case.run_std, case.ref_price, case.rel_error,
-                case.elapsed_s, case.memory_bytes,
-            ]
-            lines.append(",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _self_euler_references(model, strike, maturity, ref_steps, date_counts,
@@ -162,12 +139,11 @@ def _self_euler_references(model, strike, maturity, ref_steps, date_counts,
     grid = TimeGrid(maturity=maturity, steps=ref_steps)
     schedules = {d: ExerciseSchedule.nearest(grid, d) for d in date_counts}
     payoff = PutPayoff(strike)
-    basis = BasisSpec("double-heston" if isinstance(model, DoubleHestonParams) else "heston")
     prices = {d: [] for d in date_counts}
     for run in range(runs):
         paths = simulate("euler", model, grid, n_paths, base_seed + run, n_workers)
         for d, schedule in schedules.items():
-            prices[d].append(lsm_price(paths, payoff, schedule, model.r, basis).price)
+            prices[d].append(lsm_price(paths, payoff, schedule, model.r).price)
     return {
         d: (float(np.mean(p)), float(np.std(p, ddof=1)) if runs > 1 else 0.0)
         for d, p in prices.items()
@@ -253,7 +229,7 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports",
             rows_by_dates.setdefault(dates, {})[scheme] = report
         tag = f"{payload['name']}-{'s' if payload['vary'] == 'spot' else 'k'}{value:g}"
         csv_path = out_dir / f"{tag}.csv"
-        emit_rows_csv(value_reports, csv_path)
+        csv_path.write_text(reports_csv(value_reports))
         json_path = out_dir / f"{tag}.json"
         json_path.write_text(json.dumps([report_to_dict(r) for r in value_reports], indent=2) + "\n")
         written.extend([csv_path, json_path])
@@ -288,22 +264,6 @@ def _emit_scheme_diff(rows_by_dates, out_dir: Path, tag: str, period_years) -> P
     path = out_dir / f"{tag}-diff.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def run_config_file(path, scale=1, runs=None, seed=None, out_dir="reports",
-                    formats=("csv", "json"), n_workers=None) -> list[Path]:
-    """Run every experiment in a user-supplied table config file."""
-    payload = load_config(path)
-    if payload.get("kind", "table") != "table":
-        raise ValueError("only table-kind configs can run via --config")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for entry in payload["experiments"]:
-        spec = _apply_overrides(experiment_from_entry(entry), scale, runs, seed)
-        report = run_experiment(spec, n_workers=n_workers)
-        written.extend(_emit(report, out_dir, formats))
-    return written
 
 
 def run_catalog_id(catalog_id, scale=1, runs=None, seed=None, out_dir="reports",

@@ -2,13 +2,13 @@
 
 Every subcommand honors --seed, --out and --workers and is deterministic
 given its flags. Thread/process count never changes numbers (block-keyed
-streams); AESMC_WORKERS sets the default worker count.
+streams); without --workers, ``simulation.resolve_workers`` picks the count
+(AESMC_WORKERS, else 1).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, experiments
-from .lsm import BasisSpec, ExerciseSchedule, lsm_price
+from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PRESETS, PutPayoff, preset
 from .simulation import TimeGrid, dump_paths_csv, simulate
 
@@ -28,13 +28,7 @@ DOUBLE_HESTON_FIELDS = (
     "v0_2", "kappa_2", "nu_bar_2", "gamma_2",
     "rho_13", "rho_24",
 )
-
-
-def _default_workers():
-    env = os.environ.get("AESMC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+WORKERS_HELP = "simulation worker processes; if unset, AESMC_WORKERS, else 1"
 
 
 def _add_model_flags(parser):
@@ -134,6 +128,9 @@ def _price_config_defaults(args, parser):
 def cmd_price(args, parser) -> int:
     if args.config:
         _price_config_defaults(args, parser)
+    for flag in ("runs", "paths"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
     model, strike, maturity = _resolve_model(args, parser)
     grid = TimeGrid(maturity=maturity, steps=args.steps)
     if args.dates:
@@ -143,12 +140,11 @@ def cmd_price(args, parser) -> int:
     else:
         schedule = ExerciseSchedule.every_step(grid)
     payoff = PutPayoff(strike)
-    basis = BasisSpec("double-heston" if isinstance(model, DoubleHestonParams) else "heston")
     prices, errors = [], []
     started = time.perf_counter()
     for run in range(args.runs):
         paths = simulate(args.scheme, model, grid, args.paths, args.seed + run, args.workers)
-        result = lsm_price(paths, payoff, schedule, model.r, basis)
+        result = lsm_price(paths, payoff, schedule, model.r)
         prices.append(result.price)
         errors.append(result.std_error)
     elapsed = time.perf_counter() - started
@@ -182,19 +178,12 @@ def cmd_price(args, parser) -> int:
 def cmd_tables(args, parser) -> int:
     if bool(args.id) == bool(args.config):
         parser.error("provide exactly one of --id or --config")
+    run = catalog.run_catalog_id if args.id else catalog.run_table
     try:
-        if args.id:
-            written = catalog.run_catalog_id(
-                args.id, scale=args.scale, runs=args.runs, seed=args.seed,
-                out_dir=args.out, formats=tuple(args.format.split(",")),
-                n_workers=args.workers,
-            )
-        else:
-            written = catalog.run_config_file(
-                args.config, scale=args.scale, runs=args.runs, seed=args.seed,
-                out_dir=args.out, formats=tuple(args.format.split(",")),
-                n_workers=args.workers,
-            )
+        written = run(
+            args.id or args.config, scale=args.scale, runs=args.runs, seed=args.seed,
+            out_dir=args.out, formats=tuple(args.format.split(",")), n_workers=args.workers,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     for path in written:
@@ -270,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000, help="paths per run")
     p.add_argument("--runs", type=int, default=1, help="independent runs to average")
     p.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="simulation worker processes")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true", help="print machine-readable JSON")
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.set_defaults(func=cmd_price, subparser=p)
@@ -286,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None, help="override base seed")
     t.add_argument("--out", default="reports", help="output directory")
     t.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
-    t.add_argument("--workers", type=int, default=_default_workers())
+    t.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     t.set_defaults(func=cmd_tables, subparser=t)
 
     b = sub.add_parser("bench", formatter_class=fmt,
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--paths", type=int, default=100_000)
     b.add_argument("--runs", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--workers", type=int, default=_default_workers())
+    b.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     b.add_argument("--out", default=None, help="write a JSON summary here")
     b.set_defaults(func=cmd_bench, subparser=b)
 
@@ -308,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--steps", type=int, default=12)
     d.add_argument("--paths", type=int, default=16, help="paths to dump")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workers", type=int, default=1)
+    d.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     d.add_argument("--out", default=None, help="CSV file (default: stdout)")
     d.set_defaults(func=cmd_paths, subparser=d)
 

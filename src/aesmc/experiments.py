@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lsm import BasisSpec, ExerciseSchedule, lsm_price
+from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
 from .simulation import TimeGrid, simulate
 
@@ -47,7 +47,6 @@ class ExperimentSpec:
     base_seed: int = 0
     reference_prices: tuple[float, ...] | None = None
     reference_source: str = ""
-    include_cross_variance: bool = True
 
     def __post_init__(self):
         errors = []
@@ -157,8 +156,6 @@ def run_experiment(spec: ExperimentSpec, n_workers=None, run_prices_out: dict | 
     """
     schedule = spec.resolve_schedule()
     grid = spec.grid()
-    basis_kind = "double-heston" if isinstance(spec.model, DoubleHestonParams) else "heston"
-    basis = BasisSpec(basis_kind, include_cross_variance=spec.include_cross_variance)
     report = ExperimentReport(
         experiment=spec.name,
         scheme=spec.scheme,
@@ -177,7 +174,7 @@ def run_experiment(spec: ExperimentSpec, n_workers=None, run_prices_out: dict | 
         for run in range(spec.runs):
             t0 = time.perf_counter()
             paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run, n_workers)
-            result = lsm_price(paths, payoff, schedule, model.r, basis)
+            result = lsm_price(paths, payoff, schedule, model.r)
             elapsed[run] = time.perf_counter() - t0
             prices[run] = result.price
             memory_bytes = result.memory_bytes
@@ -258,10 +255,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_report(report: ExperimentReport, format: str, path) -> None:
-    """Write the report to ``path`` as csv or json (stable ordering)."""
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
+def reports_csv(reports) -> str:
+    """CSV text: the ``CSV_COLUMNS`` header, then one row per case of each report."""
+    lines = [",".join(CSV_COLUMNS)]
+    for report in reports:
         for case in report.cases:
             row = [
                 report.experiment, case.case, report.scheme,
@@ -270,7 +267,13 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
                 case.elapsed_s, case.memory_bytes,
             ]
             lines.append(",".join(_csv_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def emit_report(report: ExperimentReport, format: str, path) -> None:
+    """Write the report to ``path`` as csv or json (stable ordering)."""
+    if format == "csv":
+        text = reports_csv([report])
     elif format == "json":
         text = json.dumps(report_to_dict(report), indent=2) + "\n"
     else:

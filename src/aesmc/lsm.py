@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -74,41 +75,19 @@ class ExerciseSchedule:
         return np.asarray(self.exercise_indices) * self.grid.dt
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Regression feature set for one model kind.
+def build_features(asset, strike, variances) -> np.ndarray:
+    """Quadratic basis over (s, v_1..v_n) for one date's cross section (rows = paths).
 
-    Heston: [1, s, s^2, v, v^2, s*v] with s = S/K (6 features).
-    Double Heston adds the second factor and its interactions:
-    [1, s, s^2, v1, v1^2, v2, v2^2, s*v1, s*v2, v1*v2] (10 features).
-    ``include_cross_variance`` drops the v1*v2 term for sensitivity checks.
+    With s = S/K the columns are [1, s, s^2, (v_j, v_j^2)_j, (s*v_j)_j,
+    v_i*v_j (i<j)]: 6 features for Heston, 10 for double Heston.
     """
-
-    model_kind: str
-    include_cross_variance: bool = True
-
-    def __post_init__(self):
-        if self.model_kind not in ("heston", "double-heston"):
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
-
-    @property
-    def n_features(self) -> int:
-        if self.model_kind == "heston":
-            return 6
-        return 10 if self.include_cross_variance else 9
-
-
-def build_features(asset, strike, variances, basis: BasisSpec) -> np.ndarray:
-    """Feature matrix for one date's cross section (rows = paths)."""
     s = np.asarray(asset, dtype=np.float64) / strike
-    if basis.model_kind == "heston":
-        (v,) = variances
-        v = np.asarray(v, dtype=np.float64)
-        return np.column_stack([np.ones(s.size), s, s * s, v, v * v, s * v])
-    v1, v2 = (np.asarray(v, dtype=np.float64) for v in variances)
-    cols = [np.ones(s.size), s, s * s, v1, v1 * v1, v2, v2 * v2, s * v1, s * v2]
-    if basis.include_cross_variance:
-        cols.append(v1 * v2)
+    vs = [np.asarray(v, dtype=np.float64) for v in variances]
+    cols = [np.ones(s.size), s, s * s]
+    for v in vs:
+        cols += [v, v * v]
+    cols += [s * v for v in vs]
+    cols += [vi * vj for vi, vj in combinations(vs, 2)]
     return np.column_stack(cols)
 
 
@@ -132,8 +111,7 @@ class LsmResult:
     memory_bytes: int
 
 
-def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule,
-                       r: float, basis: BasisSpec | None = None):
+def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: float):
     """Run the backward sweep; return (cashflow, exercise_index) per path.
 
     ``cashflow`` holds the undiscounted payoff collected at each path's
@@ -142,8 +120,6 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     """
     if schedule.grid != paths.grid:
         raise ValueError("schedule grid does not match the path grid")
-    if basis is None:
-        basis = BasisSpec("heston" if paths.variance_2 is None else "double-heston")
     dt = paths.grid.dt
     asset = paths.asset
     variances = paths.variances()
@@ -156,7 +132,7 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
         if not itm.any():
             continue
         target = cashflow[itm] * np.exp(-r * dt * (exercise_index[itm] - k))
-        features = build_features(asset[itm, k], payoff.strike, [v[itm, k] for v in variances], basis)
+        features = build_features(asset[itm, k], payoff.strike, [v[itm, k] for v in variances])
         coef = regress_continuation(features, target)
         fitted = features @ coef
         exercised = immediate[itm] >= fitted
@@ -166,15 +142,14 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     return cashflow, exercise_index
 
 
-def lsm_price(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule,
-              r: float, basis: BasisSpec | None = None) -> LsmResult:
+def lsm_price(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: float) -> LsmResult:
     """Longstaff-Schwartz price of a Bermudan/American put over ``paths``.
 
     With the degenerate schedule {M} this reduces exactly to the European
     Monte Carlo estimator on the same paths.
     """
     start = time.perf_counter()
-    cashflow, exercise_index = backward_induction(paths, payoff, schedule, r, basis)
+    cashflow, exercise_index = backward_induction(paths, payoff, schedule, r)
     discounted = np.exp(-r * paths.grid.dt * exercise_index) * cashflow
     price = float(discounted.mean())
     std_error = float(discounted.std(ddof=1) / np.sqrt(paths.n_paths)) if paths.n_paths > 1 else 0.0

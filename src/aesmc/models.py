@@ -48,8 +48,8 @@ class HestonParams:
     gamma: float
     rho: float
 
-    def factor(self) -> VarianceFactor:
-        return VarianceFactor(self.kappa, self.nu_bar, self.gamma, self.v0, self.rho)
+    def factors(self) -> tuple[VarianceFactor]:
+        return (VarianceFactor(self.kappa, self.nu_bar, self.gamma, self.v0, self.rho),)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class PutPayoff:
         return np.maximum(self.strike - s, 0.0)
 
 
-def put_payoff(payoff: PutPayoff, s):
-    return payoff(s)
-
-
 def feller_holds(params) -> bool:
     """Whether 2*kappa*nu_bar > gamma**2 (strict), so variance stays positive.
 
@@ -125,7 +121,6 @@ def validate(params):
         _correlation(errors, "rho", params.rho)
         if not np.isfinite(params.r):
             errors.append("r must be finite")
-        factors = (params.factor(),) if not errors else ()
     elif isinstance(params, DoubleHestonParams):
         for name in (
             "s0",
@@ -137,11 +132,11 @@ def validate(params):
         _correlation(errors, "rho_24", params.rho_24)
         if not np.isfinite(params.r):
             errors.append("r must be finite")
-        factors = params.factors() if not errors else ()
     else:
         raise TypeError(f"cannot validate {type(params).__name__}")
     if errors:
         raise ParameterError(errors)
+    factors = params.factors()
     for i, factor in enumerate(factors, start=1):
         if not feller_holds(factor):
             label = "" if len(factors) == 1 else f" (factor {i})"

@@ -16,8 +16,13 @@ no truncation appears anywhere on the AES code path.
 The truncated Euler baseline applies the positive part to the full variance
 update and advances the log-price with Cholesky-correlated increments.
 
-Draw order is a contract (streams are replayable): per step, variance draws
-first (factor 1 then factor 2), then the log-price normals. Paths are
+Heston is the one-factor case: both schemes loop over the tuple of
+``VarianceFactor`` returned by ``params.factors()``, each factor with its own
+asset correlation, so there is one kernel per scheme for any factor count.
+
+Draw order is a contract (streams are replayable): per step, every variance
+draw first (factor 1, then factor 2, ...), then every log-price normal; Euler
+likewise draws all variance normals, then all asset normals. Paths are
 generated in fixed blocks of ``BLOCK_SIZE``; block ``b`` consumes the stream
 keyed ``(seed, b)``, so results are bit-identical no matter how blocks are
 scheduled across workers.
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DoubleHestonParams, HestonParams, validate
+from .models import validate
 from .sampling import NoncentralChiSqParams, RngStream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
@@ -126,28 +131,23 @@ def cir_exact_step(stream: RngStream, transition: CirTransition):
     return transition.c_bar * draw
 
 
-def heston_log_price_constants(params: HestonParams, dt: float):
-    """AES log-price coefficients (c0, c1, c2, c3) for the Heston model."""
-    rg = params.rho / params.gamma
-    c0 = (params.r - rg * params.kappa * params.nu_bar) * dt
-    c1 = (rg * params.kappa - 0.5) * dt - rg
-    c2 = rg
-    c3 = (1.0 - params.rho**2) * dt
-    return c0, c1, c2, c3
+def log_price_constants(r: float, factors, dt: float):
+    """AES log-price coefficients ``(c0, c1, c2, c3)`` for independent CIR factors.
 
-
-def double_heston_log_price_constants(params: DoubleHestonParams, dt: float):
-    """AES log-price coefficients (c0 .. c6) for the double Heston model."""
-    rg1 = params.rho_13 / params.gamma_1
-    rg2 = params.rho_24 / params.gamma_2
-    c0 = (params.r - rg1 * params.kappa_1 * params.nu_bar_1 - rg2 * params.kappa_2 * params.nu_bar_2) * dt
-    c1 = (rg1 * params.kappa_1 - 0.5) * dt - rg1
-    c2 = (rg2 * params.kappa_2 - 0.5) * dt - rg2
-    c3 = rg1
-    c4 = rg2
-    c5 = (1.0 - params.rho_13**2) * dt
-    c6 = (1.0 - params.rho_24**2) * dt
-    return c0, c1, c2, c3, c4, c5, c6
+    c0 = (r - sum_j rho_j kappa_j nu_bar_j / gamma_j) dt is a scalar; c1, c2
+    and c3 are tuples with one entry per factor:
+    c1_j = (rho_j kappa_j / gamma_j - 1/2) dt - rho_j / gamma_j,
+    c2_j = rho_j / gamma_j, c3_j = (1 - rho_j^2) dt.
+    """
+    c0 = r
+    c1, c2, c3 = [], [], []
+    for f in factors:
+        rg = f.rho / f.gamma
+        c0 = c0 - rg * f.kappa * f.nu_bar
+        c1.append((rg * f.kappa - 0.5) * dt - rg)
+        c2.append(rg)
+        c3.append((1.0 - f.rho**2) * dt)
+    return c0 * dt, tuple(c1), tuple(c2), tuple(c3)
 
 
 def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
@@ -156,128 +156,79 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
 
 
 # ---------------------------------------------------------------------------
-# Per-block kernels. Each fills (count, M+1) slabs from one keyed stream.
+# Per-block kernels, one per scheme. Each fills (count, M+1) slabs, the asset
+# and one variance matrix per factor, from one keyed stream.
 # ---------------------------------------------------------------------------
 
-def _aes_heston_block(params, grid, seed, block_id, count):
+def _start_block(params, factors, grid, count):
+    """Path matrices with their t=0 column set, and the running state (x, v)."""
+    asset = np.empty((count, grid.steps + 1), order="F")
+    asset[:, 0] = params.s0
+    variances = tuple(np.empty((count, grid.steps + 1), order="F") for _ in factors)
+    for var, f in zip(variances, factors):
+        var[:, 0] = f.v0
+    x = np.full(count, math.log(params.s0))
+    v = [np.full(count, f.v0) for f in factors]
+    return asset, variances, x, v
+
+
+def _aes_block(params, grid, seed, block_id, count):
     stream = RngStream(seed, block_id)
     dt = grid.dt
-    c0, c1, c2, c3 = heston_log_price_constants(params, dt)
-    asset = np.empty((count, grid.steps + 1), order="F")
-    var = np.empty((count, grid.steps + 1), order="F")
-    asset[:, 0] = params.s0
-    var[:, 0] = params.v0
-    x = np.full(count, math.log(params.s0))
-    v = np.full(count, params.v0)
+    factors = params.factors()
+    c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
+    asset, variances, x, v = _start_block(params, factors, grid, count)
     for i in range(grid.steps):
-        transition = cir_transition_params(params.kappa, params.gamma, params.nu_bar, dt, v)
-        v_next = cir_exact_step(stream, transition)
-        z = sample_standard_normal(stream, size=count)
-        x = x + c0 + c1 * v + c2 * v_next + np.sqrt(c3 * v) * z
+        v_next = [
+            cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
+            for f, vj in zip(factors, v)
+        ]
+        z = [sample_standard_normal(stream, size=count) for _ in factors]
+        # Drift terms, then the v_next terms, then the diffusion terms: any
+        # other summation order changes the last bits of every path.
+        x = x + c0
+        for c, vj in zip(c1, v):
+            x = x + c * vj
+        for c, vj in zip(c2, v_next):
+            x = x + c * vj
+        for c, vj, zj in zip(c3, v, z):
+            x = x + np.sqrt(c * vj) * zj
         v = v_next
-        var[:, i + 1] = v_next
+        for var, vj in zip(variances, v):
+            var[:, i + 1] = vj
         asset[:, i + 1] = np.exp(x)
-    return asset, var, None
+    return asset, variances
 
 
-def _euler_heston_block(params, grid, seed, block_id, count):
+def _euler_block(params, grid, seed, block_id, count):
     stream = RngStream(seed, block_id)
     dt = grid.dt
-    ortho = math.sqrt(1.0 - params.rho**2)
-    asset = np.empty((count, grid.steps + 1), order="F")
-    var = np.empty((count, grid.steps + 1), order="F")
-    asset[:, 0] = params.s0
-    var[:, 0] = params.v0
-    x = np.full(count, math.log(params.s0))
-    v = np.full(count, params.v0)
+    factors = params.factors()
+    ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
+    asset, variances, x, v = _start_block(params, factors, grid, count)
     for i in range(grid.steps):
-        z_v = sample_standard_normal(stream, size=count)
-        z_x = sample_standard_normal(stream, size=count)
-        v_next = truncated_euler_variance_step(v, params.kappa, params.nu_bar, params.gamma, dt, z_v)
-        x = x + (params.r - 0.5 * v) * dt + np.sqrt(v * dt) * (params.rho * z_v + ortho * z_x)
+        z_v = [sample_standard_normal(stream, size=count) for _ in factors]
+        z_x = [sample_standard_normal(stream, size=count) for _ in factors]
+        v_next = [
+            truncated_euler_variance_step(vj, f.kappa, f.nu_bar, f.gamma, dt, zj)
+            for f, vj, zj in zip(factors, v, z_v)
+        ]
+        x = x + (params.r - 0.5 * sum(v)) * dt
+        for f, o, vj, zvj, zxj in zip(factors, ortho, v, z_v, z_x):
+            x = x + np.sqrt(vj * dt) * (f.rho * zvj + o * zxj)
         v = v_next
-        var[:, i + 1] = v_next
+        for var, vj in zip(variances, v):
+            var[:, i + 1] = vj
         asset[:, i + 1] = np.exp(x)
-    return asset, var, None
+    return asset, variances
 
 
-def _aes_double_heston_block(params, grid, seed, block_id, count):
-    stream = RngStream(seed, block_id)
-    dt = grid.dt
-    c0, c1, c2, c3, c4, c5, c6 = double_heston_log_price_constants(params, dt)
-    f1, f2 = params.factors()
-    asset = np.empty((count, grid.steps + 1), order="F")
-    var1 = np.empty((count, grid.steps + 1), order="F")
-    var2 = np.empty((count, grid.steps + 1), order="F")
-    asset[:, 0] = params.s0
-    var1[:, 0] = f1.v0
-    var2[:, 0] = f2.v0
-    x = np.full(count, math.log(params.s0))
-    v1 = np.full(count, f1.v0)
-    v2 = np.full(count, f2.v0)
-    for i in range(grid.steps):
-        t1 = cir_transition_params(f1.kappa, f1.gamma, f1.nu_bar, dt, v1)
-        v1_next = cir_exact_step(stream, t1)
-        t2 = cir_transition_params(f2.kappa, f2.gamma, f2.nu_bar, dt, v2)
-        v2_next = cir_exact_step(stream, t2)
-        z1 = sample_standard_normal(stream, size=count)
-        z2 = sample_standard_normal(stream, size=count)
-        x = (
-            x + c0 + c1 * v1 + c2 * v2 + c3 * v1_next + c4 * v2_next
-            + np.sqrt(c5 * v1) * z1 + np.sqrt(c6 * v2) * z2
-        )
-        v1, v2 = v1_next, v2_next
-        var1[:, i + 1] = v1_next
-        var2[:, i + 1] = v2_next
-        asset[:, i + 1] = np.exp(x)
-    return asset, var1, var2
-
-
-def _euler_double_heston_block(params, grid, seed, block_id, count):
-    stream = RngStream(seed, block_id)
-    dt = grid.dt
-    f1, f2 = params.factors()
-    ortho1 = math.sqrt(1.0 - params.rho_13**2)
-    ortho2 = math.sqrt(1.0 - params.rho_24**2)
-    asset = np.empty((count, grid.steps + 1), order="F")
-    var1 = np.empty((count, grid.steps + 1), order="F")
-    var2 = np.empty((count, grid.steps + 1), order="F")
-    asset[:, 0] = params.s0
-    var1[:, 0] = f1.v0
-    var2[:, 0] = f2.v0
-    x = np.full(count, math.log(params.s0))
-    v1 = np.full(count, f1.v0)
-    v2 = np.full(count, f2.v0)
-    for i in range(grid.steps):
-        z_v1 = sample_standard_normal(stream, size=count)
-        z_v2 = sample_standard_normal(stream, size=count)
-        z_x1 = sample_standard_normal(stream, size=count)
-        z_x2 = sample_standard_normal(stream, size=count)
-        v1_next = truncated_euler_variance_step(v1, f1.kappa, f1.nu_bar, f1.gamma, dt, z_v1)
-        v2_next = truncated_euler_variance_step(v2, f2.kappa, f2.nu_bar, f2.gamma, dt, z_v2)
-        x = (
-            x + (params.r - 0.5 * (v1 + v2)) * dt
-            + np.sqrt(v1 * dt) * (params.rho_13 * z_v1 + ortho1 * z_x1)
-            + np.sqrt(v2 * dt) * (params.rho_24 * z_v2 + ortho2 * z_x2)
-        )
-        v1, v2 = v1_next, v2_next
-        var1[:, i + 1] = v1_next
-        var2[:, i + 1] = v2_next
-        asset[:, i + 1] = np.exp(x)
-    return asset, var1, var2
-
-
-_BLOCK_KERNELS = {
-    ("aes", "heston"): _aes_heston_block,
-    ("euler", "heston"): _euler_heston_block,
-    ("aes", "double-heston"): _aes_double_heston_block,
-    ("euler", "double-heston"): _euler_double_heston_block,
-}
+_BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
 
 
 def _run_block(task):
-    scheme, kind, params, grid, seed, block_id, count = task
-    return block_id, _BLOCK_KERNELS[(scheme, kind)](params, grid, seed, block_id, count)
+    scheme, params, grid, seed, block_id, count = task
+    return block_id, _BLOCK_KERNELS[scheme](params, grid, seed, block_id, count)
 
 
 def resolve_workers(n_workers=None) -> int:
@@ -290,70 +241,38 @@ def resolve_workers(n_workers=None) -> int:
     return 1
 
 
-def _simulate(scheme, kind, params, grid, n_paths, seed, n_workers):
+def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, n_workers=None) -> PathSet:
+    """Heston or double Heston paths under ``scheme`` ('aes' or 'euler')."""
+    if scheme not in ("aes", "euler"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'aes' or 'euler'")
     validate(params)
     if int(n_paths) < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = int(n_paths)
     workers = resolve_workers(n_workers)
-    two_factor = kind == "double-heston"
     asset = np.empty((n_paths, grid.steps + 1), order="F")
-    var1 = np.empty((n_paths, grid.steps + 1), order="F")
-    var2 = np.empty((n_paths, grid.steps + 1), order="F") if two_factor else None
+    variances = tuple(np.empty((n_paths, grid.steps + 1), order="F") for _ in params.factors())
     tasks = []
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, n_paths - start)
-        tasks.append((scheme, kind, params, grid, seed, block_id, count))
+        tasks.append((scheme, params, grid, seed, block_id, count))
 
     def _place(block_id, blocks):
+        block_asset, block_variances = blocks
         start = block_id * BLOCK_SIZE
-        stop = start + blocks[0].shape[0]
-        asset[start:stop] = blocks[0]
-        var1[start:stop] = blocks[1]
-        if two_factor:
-            var2[start:stop] = blocks[2]
+        stop = start + block_asset.shape[0]
+        asset[start:stop] = block_asset
+        for var, block_var in zip(variances, block_variances):
+            var[start:stop] = block_var
 
     if workers == 1 or len(tasks) == 1:
         for task in tasks:
-            block_id, blocks = _run_block(task)
-            _place(block_id, blocks)
+            _place(*_run_block(task))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for block_id, blocks in pool.map(_run_block, tasks):
                 _place(block_id, blocks)
-    return PathSet(grid=grid, asset=asset, variance_1=var1, variance_2=var2)
-
-
-def simulate_aes_heston(params: HestonParams, grid: TimeGrid, n_paths: int, seed: int,
-                        n_workers=None) -> PathSet:
-    """Heston paths under the almost-exact scheme."""
-    return _simulate("aes", "heston", params, grid, n_paths, seed, n_workers)
-
-
-def simulate_euler_heston(params: HestonParams, grid: TimeGrid, n_paths: int, seed: int,
-                          n_workers=None) -> PathSet:
-    """Heston paths under the truncated Euler scheme (log-price Euler)."""
-    return _simulate("euler", "heston", params, grid, n_paths, seed, n_workers)
-
-
-def simulate_aes_double_heston(params: DoubleHestonParams, grid: TimeGrid, n_paths: int, seed: int,
-                               n_workers=None) -> PathSet:
-    """Double Heston paths under the almost-exact scheme."""
-    return _simulate("aes", "double-heston", params, grid, n_paths, seed, n_workers)
-
-
-def simulate_euler_double_heston(params: DoubleHestonParams, grid: TimeGrid, n_paths: int, seed: int,
-                                 n_workers=None) -> PathSet:
-    """Double Heston paths under the truncated Euler scheme."""
-    return _simulate("euler", "double-heston", params, grid, n_paths, seed, n_workers)
-
-
-def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, n_workers=None) -> PathSet:
-    """Dispatch on scheme name and parameter type."""
-    if scheme not in ("aes", "euler"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'aes' or 'euler'")
-    kind = "double-heston" if isinstance(params, DoubleHestonParams) else "heston"
-    return _simulate(scheme, kind, params, grid, n_paths, seed, n_workers)
+    return PathSet(grid, asset, *variances)
 
 
 def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):

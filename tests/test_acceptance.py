@@ -23,8 +23,7 @@ from aesmc.simulation import (
     cir_conditional_moments,
     cir_exact_step,
     cir_transition_params,
-    simulate_aes_double_heston,
-    simulate_aes_heston,
+    simulate,
 )
 from conftest import ncx2_moment_se
 
@@ -91,7 +90,7 @@ def table5_table6_desk():
 
 @pytest.fixture(scope="session")
 def small_paths():
-    return simulate_aes_heston(EQ5, TimeGrid(0.25, 20), 30_000, seed=606)
+    return simulate("aes", EQ5, TimeGrid(0.25, 20), 30_000, seed=606)
 
 
 def test_criterion_1_table1_desk(table1_desk, acceptance):
@@ -258,9 +257,8 @@ def test_criterion_8_martingale(acceptance):
     n = 1_000_000
     ok = True
     details = []
-    for label, params, sim in (("heston", EQ5, simulate_aes_heston),
-                               ("double-heston", ZHANG, simulate_aes_double_heston)):
-        paths = sim(params, TimeGrid(0.25, 12), n, seed=4242)
+    for label, params in (("heston", EQ5), ("double-heston", ZHANG)):
+        paths = simulate("aes", params, TimeGrid(0.25, 12), n, seed=4242)
         s_T = paths.asset[:, -1]
         disc = math.exp(-params.r * 0.25)
         dev = abs(disc * s_T.mean() - params.s0)
@@ -289,8 +287,8 @@ def test_criterion_9_lsm_structural(small_paths, acceptance):
     discounted = np.exp(-EQ5.r * grid.dt * idx) * payoff(small_paths.asset[:, -1])
     european_exact = euro.price == discounted.mean()
 
-    seq = simulate_aes_heston(EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=1)
-    par = simulate_aes_heston(EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=2)
+    seq = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=1)
+    par = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=2)
     p_seq = lsm_price(seq, payoff, ExerciseSchedule.every_step(seq.grid), EQ5.r).price
     p_par = lsm_price(par, payoff, ExerciseSchedule.every_step(par.grid), EQ5.r).price
     deterministic = (p_seq == p_par) and np.array_equal(seq.asset, par.asset)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aesmc.cli import main
+from aesmc.cli import build_parser, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -66,6 +66,22 @@ def test_price_requires_preset_or_model(capsys):
     assert exc.value.code != 0
     err = capsys.readouterr().err
     assert "--preset" in err or "--model" in err
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--paths"])
+def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
+    argv = ["price", "--preset", "feller-violating", "--steps", "2",
+            "--paths", "1000", "--runs", "1", flag, "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "tables", "bench", "paths"])
+def test_workers_default_is_left_to_the_simulator(command):
+    # None lets simulation.resolve_workers apply AESMC_WORKERS, else 1
+    assert build_parser().parse_args([command]).workers is None
 
 
 def test_price_config_file_with_flag_override(tmp_path, capsys):

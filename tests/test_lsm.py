@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aesmc.lsm import (
-    BasisSpec,
     ExerciseSchedule,
     backward_induction,
     build_features,
@@ -12,7 +11,7 @@ from aesmc.lsm import (
     regress_continuation,
 )
 from aesmc.models import PutPayoff, preset
-from aesmc.simulation import PathSet, TimeGrid, simulate_aes_double_heston, simulate_aes_heston
+from aesmc.simulation import PathSet, TimeGrid, simulate
 
 EQ5 = preset("feller-violating").params
 ZHANG = preset("double-heston-zhang").params
@@ -22,7 +21,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
 @pytest.fixture(scope="module")
 def eq5_paths():
-    return simulate_aes_heston(EQ5, TimeGrid(0.25, 20), 50_000, seed=555)
+    return simulate("aes", EQ5, TimeGrid(0.25, 20), 50_000, seed=555)
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +69,14 @@ def test_nearest_rejects_more_dates_than_steps():
 # ---------------------------------------------------------------------------
 
 def test_build_features_heston_example():
-    basis = BasisSpec("heston")
-    row = build_features(np.array([90.0]), 100.0, [np.array([0.04])], basis)
+    row = build_features(np.array([90.0]), 100.0, [np.array([0.04])])
     assert np.allclose(row, [[1.0, 0.9, 0.81, 0.04, 0.0016, 0.036]], rtol=1e-12)
-    assert row.shape == (1, 6) and basis.n_features == 6
+    assert row.shape == (1, 6)
 
 
 def test_build_features_double_heston_zero_variance():
-    basis = BasisSpec("double-heston")
-    row = build_features(np.array([100.0]), 100.0, [np.zeros(1), np.zeros(1)], basis)
+    row = build_features(np.array([100.0]), 100.0, [np.zeros(1), np.zeros(1)])
     assert np.array_equal(row, [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]])
-    assert basis.n_features == 10
-
-
-def test_basis_cross_variance_toggle():
-    basis = BasisSpec("double-heston", include_cross_variance=False)
-    row = build_features(np.array([100.0]), 100.0, [np.full(1, 0.2), np.full(1, 0.3)], basis)
-    assert row.shape == (1, 9) and basis.n_features == 9
-
-
-def test_basis_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        BasisSpec("trinomial")
 
 
 def test_regress_intercept_only_is_mean():
@@ -217,12 +202,7 @@ def test_schedule_grid_mismatch_rejected(eq5_paths):
 
 
 def test_double_heston_pricing_and_basis_toggle():
-    paths = simulate_aes_double_heston(ZHANG, TimeGrid(0.25, 6), 20_000, seed=556)
+    paths = simulate("aes", ZHANG, TimeGrid(0.25, 6), 20_000, seed=556)
     schedule = ExerciseSchedule.every_step(paths.grid)
-    payoff = PutPayoff(61.9)
-    full = lsm_price(paths, payoff, schedule, ZHANG.r)
-    no_cross = lsm_price(paths, payoff, schedule, ZHANG.r,
-                         BasisSpec("double-heston", include_cross_variance=False))
+    full = lsm_price(paths, PutPayoff(61.9), schedule, ZHANG.r)
     assert 0.0 < full.price < 61.9
-    # dropping one interaction term must not move the price materially
-    assert abs(no_cross.price - full.price) < 0.02 * full.price

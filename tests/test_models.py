@@ -13,7 +13,6 @@ from aesmc.models import (
     PutPayoff,
     feller_holds,
     preset,
-    put_payoff,
     validate,
 )
 
@@ -47,9 +46,9 @@ def test_feller_scaling_invariance(a, kappa, nu_bar, gamma):
 
 
 def test_put_payoff_examples():
-    assert put_payoff(PutPayoff(100.0), 90.0) == 10.0
-    assert put_payoff(PutPayoff(100.0), 110.0) == 0.0
-    assert put_payoff(PutPayoff(10.0), 10.0) == 0.0
+    assert PutPayoff(100.0)(90.0) == 10.0
+    assert PutPayoff(100.0)(110.0) == 0.0
+    assert PutPayoff(10.0)(10.0) == 0.0
 
 
 def test_put_payoff_vectorized():

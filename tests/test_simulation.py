@@ -10,14 +10,9 @@ from aesmc.simulation import (
     cir_conditional_moments,
     cir_exact_step,
     cir_transition_params,
-    double_heston_log_price_constants,
     dump_paths_csv,
-    heston_log_price_constants,
+    log_price_constants,
     simulate,
-    simulate_aes_double_heston,
-    simulate_aes_heston,
-    simulate_euler_double_heston,
-    simulate_euler_heston,
     truncated_euler_variance_step,
     PathSet,
     TimeGrid,
@@ -104,8 +99,8 @@ def test_cir_giant_step_matches_closed_form_moments():
 def test_cir_marginal_independent_of_step_count():
     # exact transition composes: M=1 and M=100 to the same horizon agree
     n = 100_000
-    one = simulate_aes_heston(EQ5, TimeGrid(0.25, 1), n, seed=103)
-    many = simulate_aes_heston(EQ5, TimeGrid(0.25, 100), n, seed=104)
+    one = simulate("aes", EQ5, TimeGrid(0.25, 1), n, seed=103)
+    many = simulate("aes", EQ5, TimeGrid(0.25, 100), n, seed=104)
     mean, var = cir_conditional_moments(1.15, 0.39, 0.0348, 0.25, 0.0348)
     t = cir_transition_params(1.15, 0.39, 0.0348, 0.25, 0.0348)
     se_mean, se_var = ncx2_moment_se(t.dof, t.kappa_bar, n)
@@ -120,14 +115,14 @@ def test_cir_marginal_independent_of_step_count():
 # ---------------------------------------------------------------------------
 
 def test_heston_constants_eq5():
-    _, _, c2, _ = heston_log_price_constants(EQ5, dt=0.0125)
+    _, _, (c2,), _ = log_price_constants(EQ5.r, EQ5.factors(), dt=0.0125)
     assert c2 == -0.64 / 0.39                                      # -1.641026
 
 
 def test_heston_constants_rho_zero_reduction():
     params = replace(preset("feller-holding").params, rho=0.0)
     dt = 0.02
-    c0, c1, c2, c3 = heston_log_price_constants(params, dt)
+    c0, (c1,), (c2,), (c3,) = log_price_constants(params.r, params.factors(), dt)
     assert c0 == params.r * dt
     assert c1 == -0.5 * dt
     assert c2 == 0.0
@@ -135,25 +130,25 @@ def test_heston_constants_rho_zero_reduction():
 
 
 def test_double_heston_constants_zhang():
-    c = double_heston_log_price_constants(ZHANG, dt=0.25 / 12)
-    assert c[3] == -0.5 / 0.1   # -5.0
-    assert c[4] == -0.5 / 0.2   # -2.5
-    assert c[5] == (1 - 0.25) * (0.25 / 12)
-    assert c[6] == (1 - 0.25) * (0.25 / 12)
+    _, _, c2, c3 = log_price_constants(ZHANG.r, ZHANG.factors(), dt=0.25 / 12)
+    assert c2[0] == -0.5 / 0.1   # -5.0
+    assert c2[1] == -0.5 / 0.2   # -2.5
+    assert c3[0] == (1 - 0.25) * (0.25 / 12)
+    assert c3[1] == (1 - 0.25) * (0.25 / 12)
 
 
 # ---------------------------------------------------------------------------
 # simulators
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("simulator,params,fields", [
-    (simulate_aes_heston, EQ5, 2),
-    (simulate_euler_heston, EQ5, 2),
-    (simulate_aes_double_heston, ZHANG, 3),
-    (simulate_euler_double_heston, ZHANG, 3),
+@pytest.mark.parametrize("scheme,params,fields", [
+    ("aes", EQ5, 2),
+    ("euler", EQ5, 2),
+    ("aes", ZHANG, 3),
+    ("euler", ZHANG, 3),
 ])
-def test_initial_columns_exact(simulator, params, fields):
-    paths = simulator(params, TimeGrid(0.25, 6), 500, seed=1)
+def test_initial_columns_exact(scheme, params, fields):
+    paths = simulate(scheme, params, TimeGrid(0.25, 6), 500, seed=1)
     assert np.all(paths.asset[:, 0] == params.s0)
     if fields == 2:
         assert np.all(paths.variance_1[:, 0] == params.v0)
@@ -165,10 +160,10 @@ def test_initial_columns_exact(simulator, params, fields):
 
 
 def test_aes_paths_nonnegative_variance_positive_asset():
-    paths = simulate_aes_heston(EQ5, TimeGrid(0.25, 20), 20_000, seed=2)
+    paths = simulate("aes", EQ5, TimeGrid(0.25, 20), 20_000, seed=2)
     assert paths.variance_1.min() >= 0.0
     assert paths.asset.min() > 0.0
-    dh = simulate_aes_double_heston(ZHANG, TimeGrid(0.25, 12), 10_000, seed=3)
+    dh = simulate("aes", ZHANG, TimeGrid(0.25, 12), 10_000, seed=3)
     assert dh.variance_1.min() >= 0.0 and dh.variance_2.min() >= 0.0
     assert dh.asset.min() > 0.0
 
@@ -185,13 +180,13 @@ def test_truncated_euler_clips_negative_update():
 
 
 def test_euler_variance_stays_nonnegative():
-    paths = simulate_euler_heston(EQ5, TimeGrid(0.25, 40), 20_000, seed=4)
+    paths = simulate("euler", EQ5, TimeGrid(0.25, 40), 20_000, seed=4)
     assert paths.variance_1.min() >= 0.0
 
 
 def test_determinism_same_args_same_bits():
-    a = simulate_aes_heston(EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
-    b = simulate_aes_heston(EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
+    a = simulate("aes", EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
+    b = simulate("aes", EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
     assert np.array_equal(a.asset, b.asset)
     assert np.array_equal(a.variance_1, b.variance_1)
 
@@ -199,15 +194,15 @@ def test_determinism_same_args_same_bits():
 def test_determinism_across_worker_counts():
     # spans two 65536-path blocks so the pool actually distributes work
     n = 70_000
-    seq = simulate_aes_heston(EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=1)
-    par = simulate_aes_heston(EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=2)
+    seq = simulate("aes", EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=1)
+    par = simulate("aes", EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=2)
     assert np.array_equal(seq.asset, par.asset)
     assert np.array_equal(seq.variance_1, par.variance_1)
 
 
 def test_seed_changes_paths():
-    a = simulate_aes_heston(EQ5, TimeGrid(0.25, 4), 1000, seed=1)
-    b = simulate_aes_heston(EQ5, TimeGrid(0.25, 4), 1000, seed=2)
+    a = simulate("aes", EQ5, TimeGrid(0.25, 4), 1000, seed=1)
+    b = simulate("aes", EQ5, TimeGrid(0.25, 4), 1000, seed=2)
     assert not np.array_equal(a.asset, b.asset)
 
 
@@ -221,10 +216,10 @@ def test_simulate_dispatch_and_validation():
 
 
 def test_memory_proxy_matches_allocation_model():
-    paths = simulate_aes_heston(EQ5, TimeGrid(0.25, 20), 1234, seed=5)
+    paths = simulate("aes", EQ5, TimeGrid(0.25, 20), 1234, seed=5)
     assert paths.memory_bytes == 8 * 1234 * 21 * 2
     assert paths.memory_bytes == paths.asset.nbytes + paths.variance_1.nbytes
-    dh = simulate_aes_double_heston(ZHANG, TimeGrid(0.25, 12), 777, seed=5)
+    dh = simulate("aes", ZHANG, TimeGrid(0.25, 12), 777, seed=5)
     assert dh.memory_bytes == 8 * 777 * 13 * 3
 
 
@@ -245,14 +240,14 @@ def test_double_heston_degenerate_factor_matches_heston():
     grid = TimeGrid(0.25, 6)
     schedule = ExerciseSchedule(grid, (grid.steps,))
     payoff = PutPayoff(100.0)
-    dh = lsm_price(simulate_aes_double_heston(degenerate, grid, n, seed=71), payoff, schedule, 0.04)
-    h = lsm_price(simulate_aes_heston(single, grid, n, seed=72), payoff, schedule, 0.04)
+    dh = lsm_price(simulate("aes", degenerate, grid, n, seed=71), payoff, schedule, 0.04)
+    h = lsm_price(simulate("aes", single, grid, n, seed=72), payoff, schedule, 0.04)
     assert abs(dh.price - h.price) < 3 * math.hypot(dh.std_error, h.std_error)
 
 
 def test_martingale_smoke():
     n = 200_000
-    paths = simulate_aes_heston(EQ5, TimeGrid(0.25, 12), n, seed=6)
+    paths = simulate("aes", EQ5, TimeGrid(0.25, 12), n, seed=6)
     s_T = paths.asset[:, -1]
     disc = math.exp(-EQ5.r * 0.25)
     dev = abs(disc * s_T.mean() - EQ5.s0)
@@ -260,7 +255,7 @@ def test_martingale_smoke():
 
 
 def test_dump_paths_csv_heston(tmp_path):
-    paths = simulate_aes_heston(EQ5, TimeGrid(0.25, 4), 3, seed=7)
+    paths = simulate("aes", EQ5, TimeGrid(0.25, 4), 3, seed=7)
     out = tmp_path / "paths.csv"
     dump_paths_csv(paths, out)
     lines = out.read_text().strip().splitlines()
@@ -269,7 +264,7 @@ def test_dump_paths_csv_heston(tmp_path):
 
 
 def test_dump_paths_csv_double_heston(tmp_path):
-    paths = simulate_aes_double_heston(ZHANG, TimeGrid(0.25, 3), 2, seed=8)
+    paths = simulate("aes", ZHANG, TimeGrid(0.25, 3), 2, seed=8)
     out = tmp_path / "paths.csv"
     dump_paths_csv(paths, out)
     lines = out.read_text().strip().splitlines()
