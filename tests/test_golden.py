@@ -10,7 +10,7 @@ import pytest
 
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
-from aesmc.simulation import TimeGrid, simulate
+from aesmc.simulation import BLOCK_SIZE, TimeGrid, simulate
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -58,3 +58,36 @@ def test_golden_paths_and_price(scheme, name, digests, price):
     assert got == digests
     result = lsm_price(paths, PutPayoff(p.strike), ExerciseSchedule.every_step(grid), p.params.r)
     assert repr(result.price) == price
+
+
+# Two blocks, the second one partial: pins where each block's rows land.
+MULTI_BLOCK_PATHS = BLOCK_SIZE + 4464
+MULTI_BLOCK_STEPS = 2
+
+# (scheme, preset, SHA-256 of asset then each variance matrix)
+GOLDEN_MULTI_BLOCK = [
+    ("aes", "feller-violating",
+     ("ab82f3727a9892d5b5c0588965e91457e4e8354991af4fdab9a893bfc40d7c0d",
+      "fd7bdf3be27d4b3e84a10419a00a61c5aaeeafaebf1c770ccd41827360913d80")),
+    ("aes", "double-heston-zhang",
+     ("821927e40852591251412913431c15e7657744a44cba5d10266528041cda72ee",
+      "aa8cb8054c5c6ad3801854747e018b895d0396a851518009c3956bb36c26b351",
+      "dd7818c75f5e272e39d5ff8197418243cf9774cd234e74ae94af2b3e40cc370c")),
+    ("euler", "feller-violating",
+     ("8ff3d2ffc0e14ebb6cd3ae852e111227bc155bf3df9d77a5b0399dcc55dff253",
+      "273d4cdd915c736c2e50cb8896f1aa58168779825cdad99e9368e5ce64e423b8")),
+    ("euler", "double-heston-zhang",
+     ("1072939c4199b3ec5c5242b3a84892e77352160cefe6c02fa19a0499a02ed9a7",
+      "f3a41a32b916d0097ed93fd263bcdfa2db06e083dbc0e73aedd351892622b5cd",
+      "0e0b1a76ce9696b61da6f889c0a8c4a0d7f964aa2acb210f4a8c60f0eca35fb2")),
+]
+
+
+@pytest.mark.parametrize("scheme, name, digests", GOLDEN_MULTI_BLOCK,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_MULTI_BLOCK])
+def test_golden_multi_block_paths(scheme, name, digests):
+    p = preset(name)
+    grid = TimeGrid(p.maturity, MULTI_BLOCK_STEPS)
+    paths = simulate(scheme, p.params, grid, MULTI_BLOCK_PATHS, SEED)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances()))
+    assert got == digests
