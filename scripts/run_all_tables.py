@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="reports")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     for catalog_id in args.ids.split(","):
@@ -31,7 +30,7 @@ def main() -> int:
         started = time.perf_counter()
         files = catalog.run_catalog_id(
             catalog_id, scale=args.scale, runs=args.runs, seed=args.seed,
-            out_dir=args.out, n_workers=args.workers,
+            out_dir=args.out,
         )
         print(f"[{catalog_id}] {len(files)} files in {time.perf_counter() - started:.1f}s")
         for path in files:

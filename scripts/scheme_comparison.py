@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     p = preset(args.preset)
@@ -40,7 +39,7 @@ def main() -> int:
                 vary="spot", values=(args.spot,), strike=p.strike,
                 maturity=p.maturity, runs=args.runs, base_seed=args.seed,
             )
-            results[scheme] = run_experiment(spec, n_workers=args.workers).cases[0]
+            results[scheme] = run_experiment(spec).cases[0]
         aes, eul = results["aes"], results["euler"]
         gap = abs(eul.mean_price - aes.mean_price) / aes.mean_price
         print(f"{m:>5} {aes.mean_price:>12.5f} {eul.mean_price:>12.5f} {gap:>8.3%} "

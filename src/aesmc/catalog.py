@@ -108,7 +108,7 @@ def table_specs(table_id) -> list[ExperimentSpec]:
 
 
 def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
-              formats=("csv", "json"), n_workers=None) -> list[Path]:
+              formats=("csv", "json")) -> list[Path]:
     """Run one table's experiments and write a report file per experiment.
 
     ``table_id`` is a catalog id ('1'..'6') or the path of a table config file.
@@ -120,7 +120,7 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
         spec = scaled(spec, scale, runs)
         if seed is not None:
             spec = replace(spec, base_seed=int(seed))
-        report = run_experiment(spec, n_workers=n_workers)
+        report = run_experiment(spec)
         for fmt in formats:
             path = out_dir / f"{report.experiment}.{fmt}"
             emit_report(report, fmt, path)
@@ -129,7 +129,7 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
 
 
 def _self_euler_references(model, strike, maturity, ref_steps, date_counts,
-                           n_paths, runs, base_seed, n_workers) -> dict[int, tuple[float, float]]:
+                           n_paths, runs, base_seed) -> dict[int, tuple[float, float]]:
     """Euler reference prices for several schedules off shared paths.
 
     Simulates the high-resolution Euler grid once per run and prices every
@@ -141,7 +141,7 @@ def _self_euler_references(model, strike, maturity, ref_steps, date_counts,
     payoff = PutPayoff(strike)
     prices = {d: [] for d in date_counts}
     for run in range(runs):
-        paths = simulate("euler", model, grid, n_paths, base_seed + run, n_workers)
+        paths = simulate("euler", model, grid, n_paths, base_seed + run)
         for d, schedule in schedules.items():
             prices[d].append(lsm_price(paths, payoff, schedule, model.r).price)
     return {
@@ -179,8 +179,7 @@ def _figure_case_specs(payload, scale, runs, seed):
                 yield value, dates, scheme, scaled(spec, scale, runs), maturity
 
 
-def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports",
-               n_workers=None) -> list[Path]:
+def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
     """Produce the data files behind one figure (CSV + JSON per value)."""
     payload = load_config(fig_id)
     if payload.get("kind") != "figure":
@@ -210,7 +209,7 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports",
             strike_case = strike if payload["vary"] == "spot" else value
             references[(value, maturity)] = _self_euler_references(
                 model_case, strike_case, maturity, ref_steps, sorted(date_set),
-                ref_paths, ref_runs, ref_seed + 10_000, n_workers,
+                ref_paths, ref_runs, ref_seed + 10_000,
             )
 
     written: list[Path] = []
@@ -220,7 +219,7 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports",
         for case_value, dates, scheme, spec, maturity in cases:
             if case_value != value:
                 continue
-            report = run_experiment(spec, n_workers=n_workers)
+            report = run_experiment(spec)
             key = (value, maturity)
             if key in references:
                 ref_price = references[key][dates][0]
@@ -267,10 +266,10 @@ def _emit_scheme_diff(rows_by_dates, out_dir: Path, tag: str, period_years) -> P
 
 
 def run_catalog_id(catalog_id, scale=1, runs=None, seed=None, out_dir="reports",
-                   formats=("csv", "json"), n_workers=None) -> list[Path]:
+                   formats=("csv", "json")) -> list[Path]:
     catalog_id = str(catalog_id)
     if catalog_id in TABLE_IDS:
-        return run_table(catalog_id, scale, runs, seed, out_dir, formats, n_workers)
+        return run_table(catalog_id, scale, runs, seed, out_dir, formats)
     if catalog_id in FIGURE_IDS:
-        return run_figure(catalog_id, scale, runs, seed, out_dir, n_workers)
+        return run_figure(catalog_id, scale, runs, seed, out_dir)
     raise ValueError(f"unknown id {catalog_id!r}; valid ids: {', '.join(available_ids())}")

@@ -1,9 +1,7 @@
 """Command line front end: price, bench, tables, paths.
 
-Every subcommand honors --seed, --out and --workers and is deterministic
-given its flags. Thread/process count never changes numbers (block-keyed
-streams); without --workers, ``simulation.resolve_workers`` picks the count
-(AESMC_WORKERS, else 1).
+Every subcommand honors --seed and --out, runs in one process and is
+deterministic given its flags.
 """
 from __future__ import annotations
 
@@ -28,7 +26,6 @@ DOUBLE_HESTON_FIELDS = (
     "v0_2", "kappa_2", "nu_bar_2", "gamma_2",
     "rho_13", "rho_24",
 )
-WORKERS_HELP = "simulation worker processes; if unset, AESMC_WORKERS, else 1"
 
 
 def _add_model_flags(parser):
@@ -125,25 +122,29 @@ def _price_config_defaults(args, parser):
             args.dates = int(entry["schedule"])
 
 
+def _refuse_below_one(args, parser, flags):
+    """Usage error for any given count flag below 1; None means not given."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
+
+
 def cmd_price(args, parser) -> int:
     if args.config:
         _price_config_defaults(args, parser)
-    for flag in ("runs", "paths"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1")
+    _refuse_below_one(args, parser, ("runs", "paths", "dates"))
     model, strike, maturity = _resolve_model(args, parser)
     grid = TimeGrid(maturity=maturity, steps=args.steps)
-    if args.dates:
-        schedule = (ExerciseSchedule.evenly_spaced(grid, args.dates)
-                    if grid.steps % args.dates == 0
-                    else ExerciseSchedule.nearest(grid, args.dates))
-    else:
+    if args.dates is None:
         schedule = ExerciseSchedule.every_step(grid)
+    else:
+        schedule = ExerciseSchedule.nearest(grid, args.dates)
     payoff = PutPayoff(strike)
     prices, errors = [], []
     started = time.perf_counter()
     for run in range(args.runs):
-        paths = simulate(args.scheme, model, grid, args.paths, args.seed + run, args.workers)
+        paths = simulate(args.scheme, model, grid, args.paths, args.seed + run)
         result = lsm_price(paths, payoff, schedule, model.r)
         prices.append(result.price)
         errors.append(result.std_error)
@@ -182,7 +183,7 @@ def cmd_tables(args, parser) -> int:
     try:
         written = run(
             args.id or args.config, scale=args.scale, runs=args.runs, seed=args.seed,
-            out_dir=args.out, formats=tuple(args.format.split(",")), n_workers=args.workers,
+            out_dir=args.out, formats=tuple(args.format.split(",")),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -192,6 +193,7 @@ def cmd_tables(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
+    _refuse_below_one(args, parser, ("euler_steps", "dates"))
     model, strike, maturity = _resolve_model(args, parser)
     aes_steps = args.steps
     euler_steps = args.euler_steps or 2 * aes_steps
@@ -204,7 +206,7 @@ def cmd_bench(args, parser) -> int:
             schedule=dates, vary="spot", values=(model.s0,), strike=strike,
             maturity=maturity, runs=args.runs, base_seed=args.seed,
         )
-        report = experiments.run_experiment(spec, n_workers=args.workers)
+        report = experiments.run_experiment(spec)
         rows.append((scheme, steps, report.cases[0]))
         print(f"{scheme:6s} M={steps:<4d} price={report.cases[0].mean_price:.6f} "
               f"run_std={report.cases[0].run_std:.6f} "
@@ -231,7 +233,7 @@ def cmd_bench(args, parser) -> int:
 def cmd_paths(args, parser) -> int:
     model, _, maturity = _resolve_model(args, parser)
     grid = TimeGrid(maturity=maturity, steps=args.steps)
-    paths = simulate(args.scheme, model, grid, args.paths, args.seed, args.workers)
+    paths = simulate(args.scheme, model, grid, args.paths, args.seed)
     if args.out:
         dump_paths_csv(paths, args.out)
         print(args.out)
@@ -259,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000, help="paths per run")
     p.add_argument("--runs", type=int, default=1, help="independent runs to average")
     p.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true", help="print machine-readable JSON")
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.set_defaults(func=cmd_price, subparser=p)
@@ -274,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None, help="override base seed")
     t.add_argument("--out", default="reports", help="output directory")
     t.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
-    t.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     t.set_defaults(func=cmd_tables, subparser=t)
 
     b = sub.add_parser("bench", formatter_class=fmt,
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--paths", type=int, default=100_000)
     b.add_argument("--runs", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     b.add_argument("--out", default=None, help="write a JSON summary here")
     b.set_defaults(func=cmd_bench, subparser=b)
 
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--steps", type=int, default=12)
     d.add_argument("--paths", type=int, default=16, help="paths to dump")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     d.add_argument("--out", default=None, help="CSV file (default: stdout)")
     d.set_defaults(func=cmd_paths, subparser=d)
 

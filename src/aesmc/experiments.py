@@ -82,10 +82,7 @@ class ExperimentSpec:
         grid = self.grid()
         if self.schedule == "american":
             return ExerciseSchedule.every_step(grid)
-        n_dates = int(self.schedule)
-        if grid.steps % n_dates == 0:
-            return ExerciseSchedule.evenly_spaced(grid, n_dates)
-        return ExerciseSchedule.nearest(grid, n_dates)
+        return ExerciseSchedule.nearest(grid, int(self.schedule))
 
     def case_label(self, value: float) -> str:
         prefix = "S0=" if self.vary == "spot" else "K="
@@ -148,7 +145,7 @@ def _case_model(spec: ExperimentSpec, value: float):
     return spec.model, value
 
 
-def run_experiment(spec: ExperimentSpec, n_workers=None, run_prices_out: dict | None = None) -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> ExperimentReport:
     """Execute one experiment: simulate + price per (case, run), aggregate.
 
     ``run_prices_out``, when given, collects {case label: [price per run]}
@@ -173,7 +170,7 @@ def run_experiment(spec: ExperimentSpec, n_workers=None, run_prices_out: dict | 
         memory_bytes = 0
         for run in range(spec.runs):
             t0 = time.perf_counter()
-            paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run, n_workers)
+            paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run)
             result = lsm_price(paths, payoff, schedule, model.r)
             elapsed[run] = time.perf_counter() - t0
             prices[run] = result.price
@@ -192,21 +189,6 @@ def run_experiment(spec: ExperimentSpec, n_workers=None, run_prices_out: dict | 
         if run_prices_out is not None:
             run_prices_out[case.case] = prices.tolist()
         report.cases.append(case)
-    return report
-
-
-def generate_reference_prices(spec: ExperimentSpec, n_workers=None) -> ExperimentReport:
-    """High-resolution Euler run whose mean prices serve as references.
-
-    The returned report is tagged ``self-euler-m<steps>``; its
-    ``schedule_indices`` record how exercise dates were mapped onto the grid
-    when the date count does not divide the step count.
-    """
-    if spec.scheme != "euler":
-        raise ValueError("reference generation requires the euler scheme")
-    tagged = replace(spec, reference_prices=None, reference_source="")
-    report = run_experiment(tagged, n_workers=n_workers)
-    report.reference_source = f"self-euler-m{spec.n_steps}"
     return report
 
 

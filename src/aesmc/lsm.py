@@ -45,22 +45,13 @@ class ExerciseSchedule:
         return cls(grid, tuple(range(1, grid.steps + 1)))
 
     @classmethod
-    def evenly_spaced(cls, grid: TimeGrid, n_dates: int) -> "ExerciseSchedule":
-        if grid.steps % n_dates != 0:
-            raise ValueError(
-                f"steps ({grid.steps}) must be divisible by the date count ({n_dates}); "
-                "use nearest() for approximate placement"
-            )
-        stride = grid.steps // n_dates
-        return cls(grid, tuple(range(stride, grid.steps + 1, stride)))
-
-    @classmethod
     def nearest(cls, grid: TimeGrid, n_dates: int) -> "ExerciseSchedule":
         """Map ``n_dates`` equally spaced dates to the nearest grid indices.
 
-        Used when the date count does not divide the step count (for example
-        26 dates on a 750-step reference grid). Rounding is half-up so the
-        mapping is reproducible across platforms.
+        When the date count divides the step count the dates land exactly on
+        every (M/D)-th step; otherwise (for example 26 dates on a 750-step
+        reference grid) rounding is half-up so the mapping is reproducible
+        across platforms.
         """
         if n_dates > grid.steps:
             raise ValueError("cannot place more dates than grid steps")

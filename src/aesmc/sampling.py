@@ -1,7 +1,7 @@
 """Seeded sampling primitives: uniform, normal, gamma, Poisson, noncentral chi-squared.
 
 Streams are counter-based (Philox) and fully determined by ``(seed, stream_id)``,
-so a stream for path block *b* can be created on any worker, in any order, and
+so a stream for path block *b* can be created at any point, in any order, and
 always yields the same draws. All samplers accept an optional ``size`` and are
 vectorized; scalar calls return plain Python floats/ints.
 

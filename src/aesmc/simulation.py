@@ -23,16 +23,15 @@ asset correlation, so there is one kernel per scheme for any factor count.
 Draw order is a contract (streams are replayable): per step, every variance
 draw first (factor 1, then factor 2, ...), then every log-price normal; Euler
 likewise draws all variance normals, then all asset normals. Paths are
-generated in fixed blocks of ``BLOCK_SIZE``; block ``b`` consumes the stream
-keyed ``(seed, b)``, so results are bit-identical no matter how blocks are
-scheduled across workers.
+generated in fixed blocks of ``BLOCK_SIZE``, one after another in one
+process; block ``b`` consumes the stream keyed ``(seed, b)`` and writes its
+own row slice of the output in place, so a full block's paths are the same
+whatever the total path count.
 """
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,28 +155,27 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
 
 
 # ---------------------------------------------------------------------------
-# Per-block kernels, one per scheme. Each fills (count, M+1) slabs, the asset
-# and one variance matrix per factor, from one keyed stream.
+# Per-block kernels, one per scheme. Each fills its block's row slice of the
+# asset matrix and of one variance matrix per factor, from one keyed stream.
 # ---------------------------------------------------------------------------
 
-def _start_block(params, factors, grid, count):
-    """Path matrices with their t=0 column set, and the running state (x, v)."""
-    asset = np.empty((count, grid.steps + 1), order="F")
+def _start_block(params, factors, asset, variances):
+    """Set the t=0 column of each row slice; return the running state (x, v)."""
+    count = asset.shape[0]
     asset[:, 0] = params.s0
-    variances = tuple(np.empty((count, grid.steps + 1), order="F") for _ in factors)
     for var, f in zip(variances, factors):
         var[:, 0] = f.v0
     x = np.full(count, math.log(params.s0))
     v = [np.full(count, f.v0) for f in factors]
-    return asset, variances, x, v
+    return x, v
 
 
-def _aes_block(params, grid, seed, block_id, count):
-    stream = RngStream(seed, block_id)
+def _aes_block(params, grid, stream, asset, variances):
+    count = asset.shape[0]
     dt = grid.dt
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
-    asset, variances, x, v = _start_block(params, factors, grid, count)
+    x, v = _start_block(params, factors, asset, variances)
     for i in range(grid.steps):
         v_next = [
             cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
@@ -197,15 +195,14 @@ def _aes_block(params, grid, seed, block_id, count):
         for var, vj in zip(variances, v):
             var[:, i + 1] = vj
         asset[:, i + 1] = np.exp(x)
-    return asset, variances
 
 
-def _euler_block(params, grid, seed, block_id, count):
-    stream = RngStream(seed, block_id)
+def _euler_block(params, grid, stream, asset, variances):
+    count = asset.shape[0]
     dt = grid.dt
     factors = params.factors()
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
-    asset, variances, x, v = _start_block(params, factors, grid, count)
+    x, v = _start_block(params, factors, asset, variances)
     for i in range(grid.steps):
         z_v = [sample_standard_normal(stream, size=count) for _ in factors]
         z_x = [sample_standard_normal(stream, size=count) for _ in factors]
@@ -220,28 +217,12 @@ def _euler_block(params, grid, seed, block_id, count):
         for var, vj in zip(variances, v):
             var[:, i + 1] = vj
         asset[:, i + 1] = np.exp(x)
-    return asset, variances
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
 
 
-def _run_block(task):
-    scheme, params, grid, seed, block_id, count = task
-    return block_id, _BLOCK_KERNELS[scheme](params, grid, seed, block_id, count)
-
-
-def resolve_workers(n_workers=None) -> int:
-    """Worker count: explicit argument, else AESMC_WORKERS, else 1."""
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get("AESMC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, n_workers=None) -> PathSet:
+def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
     """Heston or double Heston paths under ``scheme`` ('aes' or 'euler')."""
     if scheme not in ("aes", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'aes' or 'euler'")
@@ -249,29 +230,12 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, n_wor
     if int(n_paths) < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = int(n_paths)
-    workers = resolve_workers(n_workers)
     asset = np.empty((n_paths, grid.steps + 1), order="F")
     variances = tuple(np.empty((n_paths, grid.steps + 1), order="F") for _ in params.factors())
-    tasks = []
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n_paths - start)
-        tasks.append((scheme, params, grid, seed, block_id, count))
-
-    def _place(block_id, blocks):
-        block_asset, block_variances = blocks
-        start = block_id * BLOCK_SIZE
-        stop = start + block_asset.shape[0]
-        asset[start:stop] = block_asset
-        for var, block_var in zip(variances, block_variances):
-            var[start:stop] = block_var
-
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            _place(*_run_block(task))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for block_id, blocks in pool.map(_run_block, tasks):
-                _place(block_id, blocks)
+        rows = slice(start, start + BLOCK_SIZE)
+        _BLOCK_KERNELS[scheme](params, grid, RngStream(seed, block_id),
+                               asset[rows], tuple(var[rows] for var in variances))
     return PathSet(grid, asset, *variances)
 
 

@@ -19,6 +19,7 @@ from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
 from aesmc.sampling import NoncentralChiSqParams, RngStream, sample_noncentral_chisq
 from aesmc.simulation import (
+    BLOCK_SIZE,
     TimeGrid,
     cir_conditional_moments,
     cir_exact_step,
@@ -274,8 +275,8 @@ def test_criterion_9_lsm_structural(small_paths, acceptance):
     every = ExerciseSchedule.every_step(grid)
 
     nested = [ExerciseSchedule(grid, (grid.steps,)),
-              ExerciseSchedule.evenly_spaced(grid, 5),
-              ExerciseSchedule.evenly_spaced(grid, 10),
+              ExerciseSchedule.nearest(grid, 5),
+              ExerciseSchedule.nearest(grid, 10),
               every]
     results = [lsm_price(small_paths, payoff, s, EQ5.r) for s in nested]
     monotone = all(b.price >= a.price - 3 * a.std_error for a, b in zip(results, results[1:]))
@@ -287,16 +288,15 @@ def test_criterion_9_lsm_structural(small_paths, acceptance):
     discounted = np.exp(-EQ5.r * grid.dt * idx) * payoff(small_paths.asset[:, -1])
     european_exact = euro.price == discounted.mean()
 
-    seq = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=1)
-    par = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707, n_workers=2)
-    p_seq = lsm_price(seq, payoff, ExerciseSchedule.every_step(seq.grid), EQ5.r).price
-    p_par = lsm_price(par, payoff, ExerciseSchedule.every_step(par.grid), EQ5.r).price
-    deterministic = (p_seq == p_par) and np.array_equal(seq.asset, par.asset)
+    longer = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707)
+    one_block = simulate("aes", EQ5, TimeGrid(0.25, 8), BLOCK_SIZE, seed=707)
+    deterministic = (np.array_equal(longer.asset[:BLOCK_SIZE], one_block.asset)
+                     and np.array_equal(longer.variance_1[:BLOCK_SIZE], one_block.variance_1))
 
     ok = monotone and bounded and european_exact and deterministic
     acceptance(
-        "criterion 9: LSM structure (monotone rights, bounds, European, worker determinism)",
+        "criterion 9: LSM structure (monotone rights, bounds, European, block determinism)",
         ok,
         f"monotone={monotone}, bounded={bounded}, european_exact={european_exact}, "
-        f"worker_deterministic={deterministic}",
+        f"block_deterministic={deterministic}",
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aesmc.cli import build_parser, main
+from aesmc.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -68,7 +68,7 @@ def test_price_requires_preset_or_model(capsys):
     assert "--preset" in err or "--model" in err
 
 
-@pytest.mark.parametrize("flag", ["--runs", "--paths"])
+@pytest.mark.parametrize("flag", ["--runs", "--paths", "--dates"])
 def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
     argv = ["price", "--preset", "feller-violating", "--steps", "2",
             "--paths", "1000", "--runs", "1", flag, "0"]
@@ -78,10 +78,14 @@ def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
     assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["price", "tables", "bench", "paths"])
-def test_workers_default_is_left_to_the_simulator(command):
-    # None lets simulation.resolve_workers apply AESMC_WORKERS, else 1
-    assert build_parser().parse_args([command]).workers is None
+@pytest.mark.parametrize("flag", ["--dates", "--euler-steps"])
+def test_bench_rejects_nonpositive_dates_and_euler_steps(flag, capsys):
+    argv = ["bench", "--preset", "feller-violating", "--steps", "2",
+            "--paths", "1000", "--runs", "1", flag, "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
 def test_price_config_file_with_flag_override(tmp_path, capsys):
@@ -122,7 +126,7 @@ def test_tables_requires_id_or_config(capsys):
 
 def test_tables_smoke_writes_reports(tmp_path, capsys):
     argv = ["tables", "--id", "1", "--scale", "1000", "--runs", "1",
-            "--out", str(tmp_path), "--workers", "1"]
+            "--out", str(tmp_path)]
     assert main(argv) == 0
     csv_path = tmp_path / "table1-aes.csv"
     json_path = tmp_path / "table1-aes.json"

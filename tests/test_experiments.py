@@ -9,7 +9,6 @@ from aesmc.experiments import (
     ExperimentSpec,
     attach_references,
     emit_report,
-    generate_reference_prices,
     load_report_json,
     report_from_dict,
     report_to_dict,
@@ -179,11 +178,6 @@ def test_attach_references():
         attach_references(report, [1.0], "x")
 
 
-def test_generate_reference_prices_requires_euler():
-    with pytest.raises(ValueError, match="euler"):
-        generate_reference_prices(smoke_spec(scheme="aes"))
-
-
 def test_reference_ladder_monotone_and_seed_consistent():
     # biweekly ladder: maturity grows with the date count; prices must not decrease
     def ladder_spec(dates, base_seed):
@@ -193,15 +187,14 @@ def test_reference_ladder_monotone_and_seed_consistent():
             strike=EQ5.strike, maturity=dates * 2 / 52, runs=3, base_seed=base_seed,
         )
 
-    reports = [generate_reference_prices(ladder_spec(d, 100)) for d in (2, 6, 10)]
+    reports = [run_experiment(ladder_spec(d, 100)) for d in (2, 6, 10)]
     prices = [r.cases[0].mean_price for r in reports]
     errs = [r.case_std_errors[0] for r in reports]
     for (p1, e1), (p2, e2) in zip(zip(prices, errs), zip(prices[1:], errs[1:])):
         assert p2 >= p1 - 3 * math.hypot(e1, e2)
-    assert all(r.reference_source == "self-euler-m150" for r in reports)
 
     # disjoint seed ranges agree within combined Monte Carlo error
-    again = generate_reference_prices(ladder_spec(6, 100 + 1000))
+    again = run_experiment(ladder_spec(6, 100 + 1000))
     base = reports[1]
     gap = abs(again.cases[0].mean_price - base.cases[0].mean_price)
     assert gap <= 3 * math.hypot(again.case_std_errors[0], base.case_std_errors[0])

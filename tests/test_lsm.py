@@ -46,9 +46,7 @@ def test_schedule_invariants():
 def test_every_step_and_evenly_spaced():
     grid = TimeGrid(0.25, 20)
     assert ExerciseSchedule.every_step(grid).exercise_indices == tuple(range(1, 21))
-    assert ExerciseSchedule.evenly_spaced(grid, 5).exercise_indices == (4, 8, 12, 16, 20)
-    with pytest.raises(ValueError, match="divisible"):
-        ExerciseSchedule.evenly_spaced(grid, 3)
+    assert ExerciseSchedule.nearest(grid, 5).exercise_indices == (4, 8, 12, 16, 20)
 
 
 def test_nearest_mapping_750_26():
@@ -142,8 +140,8 @@ def test_monotonicity_in_exercise_rights(eq5_paths):
     payoff = PutPayoff(100.0)
     nested = [
         ExerciseSchedule(grid, (grid.steps,)),
-        ExerciseSchedule.evenly_spaced(grid, 5),
-        ExerciseSchedule.evenly_spaced(grid, 10),
+        ExerciseSchedule.nearest(grid, 5),
+        ExerciseSchedule.nearest(grid, 10),
         ExerciseSchedule.every_step(grid),
     ]
     results = [lsm_price(eq5_paths, payoff, s, EQ5.r) for s in nested]

@@ -7,6 +7,7 @@ import pytest
 from aesmc.models import ParameterError, preset
 from aesmc.sampling import RngStream
 from aesmc.simulation import (
+    BLOCK_SIZE,
     cir_conditional_moments,
     cir_exact_step,
     cir_transition_params,
@@ -191,13 +192,12 @@ def test_determinism_same_args_same_bits():
     assert np.array_equal(a.variance_1, b.variance_1)
 
 
-def test_determinism_across_worker_counts():
-    # spans two 65536-path blocks so the pool actually distributes work
-    n = 70_000
-    seq = simulate("aes", EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=1)
-    par = simulate("aes", EQ5, TimeGrid(0.25, 4), n, seed=10, n_workers=2)
-    assert np.array_equal(seq.asset, par.asset)
-    assert np.array_equal(seq.variance_1, par.variance_1)
+def test_full_block_independent_of_path_count():
+    # block 0 draws from the stream keyed (seed, 0) whatever follows it
+    longer = simulate("aes", EQ5, TimeGrid(0.25, 4), 70_000, seed=10)
+    one_block = simulate("aes", EQ5, TimeGrid(0.25, 4), BLOCK_SIZE, seed=10)
+    assert np.array_equal(longer.asset[:BLOCK_SIZE], one_block.asset)
+    assert np.array_equal(longer.variance_1[:BLOCK_SIZE], one_block.variance_1)
 
 
 def test_seed_changes_paths():
