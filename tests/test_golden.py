@@ -1,13 +1,16 @@
 """Golden digests of simulated paths and LSM prices at a pinned seed.
 
-A refactor of the path kernels, the log-price constants or the regression
-basis must reproduce these bytes exactly. A change that moves the numbers on
+A refactor of the path kernels, the log-price constants, the regression
+basis or solve, or the experiment loop must reproduce these bytes exactly. A change that moves the numbers on
 purpose updates them in a change of its own, stating why.
 """
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from aesmc.catalog import table_specs
+from aesmc.experiments import run_experiment
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
 from aesmc.simulation import BLOCK_SIZE, TimeGrid, simulate
@@ -91,3 +94,30 @@ def test_golden_multi_block_paths(scheme, name, digests):
     paths = simulate(scheme, p.params, grid, MULTI_BLOCK_PATHS, SEED)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances()))
     assert got == digests
+
+
+# Per-run prices of whole experiments: the run/case loop of ``run_experiment``
+# and, at S0=12, dates with fewer in-the-money paths than regression features.
+EXPERIMENT_PATHS = 20_000
+EXPERIMENT_RUNS = 2
+
+# (table, experiment, overrides, {case: repr of each run's price})
+GOLDEN_EXPERIMENTS = [
+    ("5", "table5-aes", {},
+     {"K=56.9": ["6.890358291635482", "6.992781975288346"],
+      "K=61.9": ["9.480921398013013", "9.605739471042515"],
+      "K=66.9": ["12.451008753702506", "12.63789818189887"]}),
+    ("2", "table2-aes", {"values": (11.0, 12.0), "reference_prices": None},
+     {"S0=11": ["0.20695210077267728", "0.20262045693050915"],
+      "S0=12": ["0.0794287443743244", "0.07514031870839416"]}),
+]
+
+
+@pytest.mark.parametrize("table, name, overrides, prices", GOLDEN_EXPERIMENTS,
+                         ids=[g[1] for g in GOLDEN_EXPERIMENTS])
+def test_golden_experiment_run_prices(table, name, overrides, prices):
+    (spec,) = [s for s in table_specs(table) if s.name == name]
+    spec = replace(spec, n_paths=EXPERIMENT_PATHS, runs=EXPERIMENT_RUNS, **overrides)
+    per_run: dict = {}
+    run_experiment(spec, run_prices_out=per_run)
+    assert {case: [repr(p) for p in runs] for case, runs in per_run.items()} == prices
