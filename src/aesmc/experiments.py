@@ -2,9 +2,10 @@
 
 An ``ExperimentSpec`` describes one pricing experiment (model, scheme, grid,
 schedule, the list of spots or strikes, run count, seeds, optional reference
-prices). ``run_experiment`` executes it: for each case and run r the paths
-are simulated with seed = base_seed + r and priced; per-case aggregates
-(mean, across-run std, mean wall time, memory proxy, relative error) go into
+prices). ``run_experiment`` executes it: for each run r the paths are
+simulated with seed = base_seed + r, once per run when only the strike
+varies, and every case is priced on them; per-case aggregates (mean,
+across-run std, mean wall time, memory proxy, relative error) go into
 an ``ExperimentReport`` that can be emitted as CSV or JSON with a stable row
 order and schema.
 """
@@ -116,6 +117,9 @@ class CaseResult:
     memory_bytes: int
     ref_price: float | None = None
     rel_error: float | None = None
+    sim_s: float = 0.0               # mean simulation time of the case's runs
+    price_s: float = 0.0             # mean LSM pricing time of the case's runs
+    std_errors: list[float] = field(default_factory=list)  # Monte Carlo SE of each run
 
 
 @dataclass
@@ -146,7 +150,13 @@ def _case_model(spec: ExperimentSpec, value: float):
 
 
 def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> ExperimentReport:
-    """Execute one experiment: simulate + price per (case, run), aggregate.
+    """Execute one experiment: simulate + price per (run, case), aggregate.
+
+    Run r simulates with seed base_seed + r. When the cases vary the strike
+    the model is the same for every case, so one path set per run prices all
+    of them; when they vary the spot each case simulates its own. A case's
+    ``elapsed_s`` is its run's simulation time plus its own pricing time,
+    averaged over runs.
 
     ``run_prices_out``, when given, collects {case label: [price per run]}
     for callers that need per-run data (slack computations, diagnostics).
@@ -162,32 +172,39 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
         schedule_indices=schedule.exercise_indices,
         reference_source=spec.reference_source if spec.reference_prices is not None else "",
     )
-    for i, value in enumerate(spec.values):
-        model, strike = _case_model(spec, value)
-        payoff = PutPayoff(strike)
-        prices = np.empty(spec.runs)
-        elapsed = np.empty(spec.runs)
-        memory_bytes = 0
-        for run in range(spec.runs):
+    cases = [_case_model(spec, value) for value in spec.values]
+    prices, std_errors, sim_s, price_s = (np.empty((len(cases), spec.runs)) for _ in range(4))
+    for run in range(spec.runs):
+        for i, (model, strike) in enumerate(cases):
+            if i == 0 or spec.vary == "spot":
+                paths = None  # never hold two path sets at once
+                t0 = time.perf_counter()
+                paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run)
+                simulated_s = time.perf_counter() - t0
             t0 = time.perf_counter()
-            paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run)
-            result = lsm_price(paths, payoff, schedule, model.r)
-            elapsed[run] = time.perf_counter() - t0
-            prices[run] = result.price
+            result = lsm_price(paths, PutPayoff(strike), schedule, model.r)
+            price_s[i, run] = time.perf_counter() - t0
+            sim_s[i, run] = simulated_s
+            prices[i, run] = result.price
+            std_errors[i, run] = result.std_error
             memory_bytes = result.memory_bytes
+    for i, value in enumerate(spec.values):
         case = CaseResult(
             case=spec.case_label(value),
             value=value,
-            mean_price=float(prices.mean()),
-            run_std=float(prices.std(ddof=1)) if spec.runs > 1 else 0.0,
-            elapsed_s=float(elapsed.mean()),
+            mean_price=float(prices[i].mean()),
+            run_std=float(prices[i].std(ddof=1)) if spec.runs > 1 else 0.0,
+            elapsed_s=float((sim_s[i] + price_s[i]).mean()),
             memory_bytes=memory_bytes,
+            sim_s=float(sim_s[i].mean()),
+            price_s=float(price_s[i].mean()),
+            std_errors=std_errors[i].tolist(),
         )
         if spec.reference_prices is not None:
             case.ref_price = spec.reference_prices[i]
             case.rel_error = abs(case.mean_price - case.ref_price) / case.ref_price
         if run_prices_out is not None:
-            run_prices_out[case.case] = prices.tolist()
+            run_prices_out[case.case] = prices[i].tolist()
         report.cases.append(case)
     return report
 

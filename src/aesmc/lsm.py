@@ -83,11 +83,23 @@ def build_features(asset, strike, variances) -> np.ndarray:
 
 
 def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimal-norm least-squares coefficients (rank-deficient designs tolerated)."""
+    """Least-squares coefficients (rank-deficient designs tolerated).
+
+    A well-conditioned design is solved on its p x p normal equations
+    X'X c = X'y. A design with fewer rows than columns, a Gram matrix whose
+    condition number reaches 1/RCOND, or a non-finite solution falls back to
+    the minimal-norm SVD solve.
+    """
     if features.shape[0] != target.shape[0]:
         raise ValueError("feature rows must match target length")
     if features.shape[0] < 1:
         raise ValueError("empty regression")
+    if features.shape[0] >= features.shape[1]:
+        gram = features.T @ features
+        if np.linalg.cond(gram) * RCOND <= 1.0:
+            coef = np.linalg.solve(gram, features.T @ target)
+            if np.isfinite(coef).all():
+                return coef
     coef, _, _, _ = np.linalg.lstsq(features, target, rcond=RCOND)
     return coef
 
@@ -119,17 +131,18 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     exercise_index = np.full(paths.n_paths, last)
     for k in reversed(schedule.exercise_indices[:-1]):
         immediate = payoff(asset[:, k])
-        itm = immediate > 0.0
-        if not itm.any():
+        rows = np.flatnonzero(immediate > 0.0)
+        if rows.size == 0:
             continue
-        target = cashflow[itm] * np.exp(-r * dt * (exercise_index[itm] - k))
-        features = build_features(asset[itm, k], payoff.strike, [v[itm, k] for v in variances])
+        immediate = immediate.take(rows)
+        target = cashflow.take(rows) * np.exp(-r * dt * (exercise_index.take(rows) - k))
+        features = build_features(asset[:, k].take(rows), payoff.strike,
+                                  [v[:, k].take(rows) for v in variances])
         coef = regress_continuation(features, target)
-        fitted = features @ coef
-        exercised = immediate[itm] >= fitted
-        rows = np.flatnonzero(itm)[exercised]
-        cashflow[rows] = immediate[rows]
-        exercise_index[rows] = k
+        exercised = immediate >= features @ coef
+        exercised_rows = rows[exercised]
+        cashflow[exercised_rows] = immediate[exercised]
+        exercise_index[exercised_rows] = k
     return cashflow, exercise_index
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from aesmc import experiments
 from aesmc.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -15,7 +16,9 @@ from aesmc.experiments import (
     run_experiment,
     scaled,
 )
-from aesmc.models import preset
+from aesmc.lsm import lsm_price
+from aesmc.models import PutPayoff, preset
+from aesmc.simulation import simulate
 
 EQ5 = preset("feller-violating")
 EQ4 = preset("feller-holding")
@@ -104,6 +107,51 @@ def test_strike_variation_cases():
     assert report.cases[1].mean_price > report.cases[0].mean_price
 
 
+def _count_simulate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(experiments, "simulate", counted)
+    return calls
+
+
+def test_strikes_share_one_path_set_per_run(monkeypatch):
+    zh = preset("double-heston-zhang")
+    spec = ExperimentSpec(
+        name="dh-share", model=zh.params, scheme="aes", n_paths=800, n_steps=4,
+        schedule="american", vary="strike", values=(56.9, 61.9, 66.9), strike=zh.strike,
+        maturity=zh.maturity, runs=2, base_seed=31,
+    )
+    calls = _count_simulate(monkeypatch)
+    per_run: dict = {}
+    report = run_experiment(spec, run_prices_out=per_run)
+    assert len(calls) == 2
+    schedule = spec.resolve_schedule()
+    for run in range(2):
+        paths = simulate("aes", zh.params, spec.grid(), 800, 31 + run)
+        for case, strike in zip(report.cases, spec.values):
+            alone = lsm_price(paths, PutPayoff(strike), schedule, zh.params.r)
+            assert per_run[case.case][run] == alone.price
+            assert case.std_errors[run] == alone.std_error
+
+
+def test_spots_simulate_once_per_case_and_run(monkeypatch):
+    calls = _count_simulate(monkeypatch)
+    run_experiment(smoke_spec(runs=2))
+    assert len(calls) == 6
+
+
+def test_case_timings_and_run_std_errors():
+    report = run_experiment(smoke_spec(runs=2))
+    for case in report.cases:
+        assert case.sim_s > 0.0 and case.price_s > 0.0
+        assert case.elapsed_s == pytest.approx(case.sim_s + case.price_s)
+        assert len(case.std_errors) == 2 and all(se > 0.0 for se in case.std_errors)
+
+
 def test_scaled_divides_paths_and_caps_runs():
     spec = smoke_spec(n_paths=1_000_000, runs=20)
     desk = scaled(spec, 10)
@@ -146,6 +194,18 @@ def test_json_round_trip_identity(tmp_path):
     loaded = load_report_json(path)
     assert loaded == report
     assert report_from_dict(report_to_dict(report)) == report
+    case = json.loads(path.read_text())["cases"][0]
+    assert case["sim_s"] > 0.0 and case["price_s"] > 0.0 and len(case["std_errors"]) == 1
+
+
+def test_json_reads_reports_without_timing_split():
+    payload = report_to_dict(run_experiment(smoke_spec()))
+    for case in payload["cases"]:
+        for key in ("sim_s", "price_s", "std_errors"):
+            del case[key]
+    old = report_from_dict(payload)
+    assert [c.sim_s for c in old.cases] == [0.0] * 3
+    assert [c.std_errors for c in old.cases] == [[]] * 3
 
 
 def test_json_contains_schedule_mapping(tmp_path):

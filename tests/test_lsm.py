@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aesmc.lsm import (
+    RCOND,
     ExerciseSchedule,
     backward_induction,
     build_features,
@@ -108,6 +109,25 @@ def test_regress_shape_mismatch():
         regress_continuation(np.ones((3, 2)), np.ones(4))
     with pytest.raises(ValueError):
         regress_continuation(np.ones((0, 2)), np.ones(0))
+
+
+def test_regress_falls_back_to_lstsq_when_underdetermined_or_singular():
+    rng = np.random.default_rng(2)
+    wide = rng.normal(size=(3, 10))                   # fewer rows than columns
+    X = rng.normal(size=(40, 10))
+    duplicated = np.column_stack([X[:, :9], X[:, 8]])  # singular Gram matrix
+    for design in (wide, duplicated):
+        y = rng.normal(size=design.shape[0])
+        expected = np.linalg.lstsq(design, y, rcond=RCOND)[0]
+        assert np.array_equal(regress_continuation(design, y), expected)
+
+
+def test_regress_well_conditioned_matches_lstsq():
+    rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(500), rng.normal(size=(500, 9))])
+    y = X @ rng.normal(size=10) + rng.normal(0, 0.1, 500)
+    expected = np.linalg.lstsq(X, y, rcond=RCOND)[0]
+    assert np.allclose(regress_continuation(X, y), expected, rtol=1e-10, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
