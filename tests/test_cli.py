@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,20 @@ import pytest
 from aesmc.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
+
+VARY_SPOT_CONFIG = (
+    "experiments:\n"
+    "  - name: from-config\n"
+    "    preset: feller-violating\n"
+    "    scheme: aes\n"
+    "    n_paths: 1500\n"
+    "    n_steps: 3\n"
+    "    schedule: american\n"
+    "    vary: spot\n"
+    "    values: [95.0]\n"
+    "    runs: 1\n"
+    "    base_seed: 11\n"
+)
 
 PRICE_SMOKE = [
     "price", "--preset", "feller-violating", "--scheme", "aes",
@@ -90,19 +105,7 @@ def test_bench_rejects_nonpositive_dates_and_euler_steps(flag, capsys):
 
 def test_price_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(
-        "experiments:\n"
-        "  - name: from-config\n"
-        "    preset: feller-violating\n"
-        "    scheme: aes\n"
-        "    n_paths: 1500\n"
-        "    n_steps: 3\n"
-        "    schedule: american\n"
-        "    vary: spot\n"
-        "    values: [95.0]\n"
-        "    runs: 1\n"
-        "    base_seed: 11\n"
-    )
+    cfg.write_text(VARY_SPOT_CONFIG)
     assert main(["price", "--config", str(cfg), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_paths"] == 1500 and payload["n_steps"] == 3
@@ -198,3 +201,91 @@ def test_help_exits_cleanly(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+# Golden CLI outputs at pinned seeds. A refactor of how flags become a
+# priced case must reproduce them exactly; timing fields are left out.
+SMALL = ["--paths", "2000", "--runs", "2", "--seed", "42"]
+INLINE_HESTON = ["--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.05",
+                 "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
+                 "--strike", "100", "--maturity", "0.25"]
+
+# (id, price flags, expected --json payload without elapsed_s); "{config}"
+# stands for a file holding VARY_SPOT_CONFIG
+GOLDEN_PRICE = [
+    ("preset-defaults", ["--preset", "feller-violating"],
+     {"price": 3.162065381235024, "run_std": 0.0, "mc_std_error": 0.015033577110718283,
+      "runs": 1, "n_paths": 100000, "n_steps": 12, "n_exercise_dates": 12, "scheme": "aes",
+      "memory_bytes": 20800000}),
+    ("preset-gamma", ["--preset", "feller-violating", "--gamma", "0.5", *SMALL],
+     {"price": 3.2146661157158563, "run_std": 0.13823346499796157,
+      "mc_std_error": 0.12056934614739198, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
+    ("inline-heston", [*INLINE_HESTON, *SMALL],
+     {"price": 3.492986301482051, "run_std": 0.13704333372340308,
+      "mc_std_error": 0.11747792748143167, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
+    ("spot-dates", ["--preset", "feller-violating", "--spot", "90", "--dates", "20",
+                    "--steps", "20", *SMALL],
+     {"price": 10.179052656853724, "run_std": 0.0765670177454059,
+      "mc_std_error": 0.10752072631319479, "runs": 2, "n_paths": 2000, "n_steps": 20,
+      "n_exercise_dates": 20, "scheme": "aes", "memory_bytes": 672000}),
+    ("double-heston-american", ["--preset", "double-heston-zhang", "--american", *SMALL],
+     {"price": 9.893213322140031, "run_std": 0.13871575164786998,
+      "mc_std_error": 0.24373041387584707, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 624000}),
+    ("config-vary-spot", ["--config", "{config}"],
+     {"price": 5.912835459192082, "run_std": 0.0, "mc_std_error": 0.14330565363221742,
+      "runs": 1, "n_paths": 1500, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
+      "memory_bytes": 96000}),
+    ("config-vary-spot-paths", ["--config", "{config}", "--paths", "800"],
+     {"price": 5.7426575713773955, "run_std": 0.0, "mc_std_error": 0.2070336301854104,
+      "runs": 1, "n_paths": 800, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
+      "memory_bytes": 51200}),
+]
+
+
+@pytest.mark.parametrize("flags, expected", [g[1:] for g in GOLDEN_PRICE],
+                         ids=[g[0] for g in GOLDEN_PRICE])
+def test_golden_price_json(flags, expected, tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(VARY_SPOT_CONFIG)
+    argv = ["price", *(str(cfg) if f == "{config}" else f for f in flags), "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("elapsed_s") > 0.0
+    assert payload == expected
+
+
+def test_golden_bench_json(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--preset", "feller-violating", "--steps", "4", "--paths", "2000",
+            "--runs", "2", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    for scheme in ("aes", "euler"):
+        assert payload[scheme].pop("elapsed_s") > 0.0
+    assert payload.pop("time_ratio") > 0.0
+    assert payload == {
+        "aes": {"steps": 4, "price": 3.252456057611046, "memory_bytes": 160000},
+        "euler": {"steps": 8, "price": 3.180470488728087, "memory_bytes": 288000},
+        "memory_ratio": 1.8, "rel_gap": 0.02213267992184131,
+    }
+
+
+# (paths flags, SHA-256 of the CSV file)
+GOLDEN_PATHS_CSV = [
+    (["--preset", "feller-violating", "--scheme", "aes", "--steps", "4", "--paths", "3",
+      "--seed", "1"],
+     "225ef26e64228327c7a7a1253b688ae63f109ec0bc7d45f4d437b17d4a352d2f"),
+    (["--preset", "double-heston-zhang", "--scheme", "euler", "--spot", "55", "--steps", "3",
+      "--paths", "4", "--seed", "2"],
+     "6975a5c35a45b65e2d47fb63b41d2b3b92d6ca74cfc8eb7572623729aaf8c4f6"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_PATHS_CSV, ids=["heston", "double-heston"])
+def test_golden_paths_csv(flags, digest, tmp_path, capsys):
+    out = tmp_path / "paths.csv"
+    assert main(["paths", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
