@@ -11,7 +11,7 @@ config asks for ``source: self-euler``.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -54,32 +54,60 @@ def load_config(source) -> dict:
     return yaml.safe_load(text)
 
 
+# Inline model kinds of a config entry ("double_heston" is accepted too).
+MODEL_KINDS = {"heston": HestonParams, "double-heston": DoubleHestonParams}
+# Keys every experiment entry must give.
+REQUIRED_KEYS = ("name", "scheme", "n_paths", "n_steps", "schedule", "vary", "values")
+
+
 def _model_from_entry(entry: dict):
-    """Resolve (model, strike, maturity) from a preset name and/or inline fields."""
-    strike = maturity = None
-    model = None
+    """Resolve (model, strike, maturity) from a preset name and/or inline fields.
+
+    Inline ``model`` fields override the preset's, and fields not given are
+    taken from the preset where the names match; ``kind`` defaults to the
+    preset's model kind, else heston. A missing or unknown preset, kind or
+    field raises a ValueError that names it.
+    """
+    model = strike = maturity = None
     if "preset" in entry:
-        p = preset(entry["preset"])
+        try:
+            p = preset(entry["preset"])
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         model, strike, maturity = p.params, p.strike, p.maturity
     if "model" in entry:
-        spec = dict(entry["model"])
-        kind = spec.pop("kind", "heston")
-        if kind == "heston":
-            model = HestonParams(**spec)
-        elif kind in ("double-heston", "double_heston"):
-            model = DoubleHestonParams(**spec)
-        else:
+        inline = dict(entry["model"])
+        kind = inline.pop("kind", None)
+        default = HestonParams if model is None else type(model)
+        cls = default if kind is None else MODEL_KINDS.get(str(kind).replace("_", "-"))
+        if cls is None:
             raise ValueError(f"unknown model kind {kind!r}")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(inline) - set(names))
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+        if model is not None:
+            inline = {**{n: getattr(model, n) for n in names if hasattr(model, n)}, **inline}
+        missing = [n for n in names if n not in inline]
+        if missing:
+            raise ValueError(f"inline model is missing {cls.__name__} field(s): {', '.join(missing)}")
+        model = cls(**inline)
     if model is None:
         raise ValueError("experiment entry needs a 'preset' or an inline 'model'")
-    strike = float(entry.get("strike", strike)) if entry.get("strike", strike) is not None else None
-    maturity = float(entry.get("maturity", maturity)) if entry.get("maturity", maturity) is not None else None
-    if strike is None or maturity is None:
-        raise ValueError("strike and maturity must come from the preset or the entry")
-    return model, strike, maturity
+    strike = entry.get("strike", strike)
+    maturity = entry.get("maturity", maturity)
+    for key, value in (("strike", strike), ("maturity", maturity)):
+        if value is None:
+            raise ValueError(f"missing {key!r}: give it in the entry or through a preset")
+    return model, float(strike), float(maturity)
 
 
 def experiment_from_entry(entry: dict) -> ExperimentSpec:
+    """The spec of one config entry; a missing key is a ValueError naming it."""
+    missing = [key for key in REQUIRED_KEYS if key not in entry]
+    if missing:
+        raise ValueError(f"experiment entry {entry.get('name', '')!r} is missing "
+                         f"key(s): {', '.join(missing)}")
     model, strike, maturity = _model_from_entry(entry)
     reference = entry.get("reference") or {}
     return ExperimentSpec(

@@ -1,7 +1,10 @@
 """Command line front end: price, bench, tables, paths.
 
 Every subcommand honors --seed and --out, runs in one process and is
-deterministic given its flags.
+deterministic given its flags. ``price``, ``bench`` and ``paths`` turn their
+flags into one catalog entry and build its spec with
+``catalog.experiment_from_entry``, so a flag means what the same YAML key
+means in a config file.
 """
 from __future__ import annotations
 
@@ -9,75 +12,35 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog, experiments
-from .lsm import ExerciseSchedule, lsm_price
-from .models import DoubleHestonParams, HestonParams, PRESETS, PutPayoff, preset
-from .simulation import TimeGrid, dump_paths_csv, simulate
+from .models import PRESETS
+from .simulation import dump_paths_csv, simulate
 
-HESTON_FIELDS = ("s0", "v0", "r", "kappa", "nu_bar", "gamma", "rho")
-DOUBLE_HESTON_FIELDS = (
-    "s0", "r",
-    "v0_1", "kappa_1", "nu_bar_1", "gamma_1",
-    "v0_2", "kappa_2", "nu_bar_2", "gamma_2",
-    "rho_13", "rho_24",
-)
+MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)})
+# Flags that each set one key of the catalog entry.
+ENTRY_KEYS = {
+    "preset": "preset", "scheme": "scheme", "steps": "n_steps", "paths": "n_paths",
+    "runs": "runs", "seed": "base_seed", "strike": "strike", "maturity": "maturity",
+    "dates": "schedule",
+}
 
 
 def _add_model_flags(parser):
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set (supplies model, strike, maturity)")
-    parser.add_argument("--model", choices=["heston", "double-heston"],
+    parser.add_argument("--model", choices=list(catalog.MODEL_KINDS),
                         help="model kind when specifying parameters inline")
-    for name in sorted(set(HESTON_FIELDS + DOUBLE_HESTON_FIELDS)):
+    for name in MODEL_FIELDS:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, type=float, default=None, help=f"model parameter {name}")
     parser.add_argument("--spot", type=float, default=None, help="initial asset price (overrides preset s0)")
     parser.add_argument("--strike", type=float, default=None, help="put strike")
     parser.add_argument("--maturity", type=float, default=None, help="maturity in years")
-
-
-def _resolve_model(args, parser):
-    """Build (model, strike, maturity) from preset and/or inline flags."""
-    model = strike = maturity = None
-    if args.preset:
-        p = preset(args.preset)
-        model, strike, maturity = p.params, p.strike, p.maturity
-    if args.model or (model is None):
-        kind = args.model
-        if kind is None:
-            parser.error("either --preset or --model with inline parameters is required")
-        fields = HESTON_FIELDS if kind == "heston" else DOUBLE_HESTON_FIELDS
-        values = {}
-        for name in fields:
-            value = getattr(args, name)
-            if value is None and model is not None and hasattr(model, name):
-                value = getattr(model, name)
-            if value is None:
-                parser.error(f"missing --{name.replace('_', '-')} for inline {kind} model")
-            values[name] = value
-        model = HestonParams(**values) if kind == "heston" else DoubleHestonParams(**values)
-    else:
-        overrides = {
-            name: getattr(args, name)
-            for name in (HESTON_FIELDS if isinstance(model, HestonParams) else DOUBLE_HESTON_FIELDS)
-            if getattr(args, name) is not None
-        }
-        if overrides:
-            model = replace(model, **overrides)
-    if args.spot is not None:
-        model = replace(model, s0=args.spot)
-    strike = args.strike if args.strike is not None else strike
-    maturity = args.maturity if args.maturity is not None else maturity
-    if strike is None:
-        parser.error("--strike is required (or use --preset)")
-    if maturity is None:
-        parser.error("--maturity is required (or use --preset)")
-    return model, strike, maturity
 
 
 def _schedule_args(parser):
@@ -88,38 +51,53 @@ def _schedule_args(parser):
                        help="exercise at every grid step (American proxy)")
 
 
-def _price_config_defaults(args, parser):
-    """Seed price flags from a config file entry; explicit flags win."""
-    payload = catalog.load_config(args.config)
-    entries = payload.get("experiments", [payload])
-    entry = entries[0]
-    if args.preset is None and "preset" in entry:
-        args.preset = entry["preset"]
-    if args.model is None and "model" in entry:
-        kind = entry["model"].get("kind", "heston")
-        args.model = "double-heston" if kind.startswith("double") else "heston"
-        for name, value in entry["model"].items():
-            if name != "kind" and getattr(args, name, None) is None:
-                setattr(args, name, float(value))
-    for flag, key in (("strike", "strike"), ("maturity", "maturity")):
-        if getattr(args, flag) is None and key in entry:
-            setattr(args, flag, float(entry[key]))
-    if args.spot is None and entry.get("vary") == "spot" and entry.get("values"):
-        args.spot = float(entry["values"][0])
-    defaults = args.subparser.get_default
-    if args.steps == defaults("steps") and "n_steps" in entry:
-        args.steps = int(entry["n_steps"])
-    if args.paths == defaults("paths") and "n_paths" in entry:
-        args.paths = int(entry["n_paths"])
-    if args.runs == defaults("runs") and "runs" in entry:
-        args.runs = int(entry["runs"])
-    if args.seed == defaults("seed") and "base_seed" in entry:
-        args.seed = int(entry["base_seed"])
-    if args.dates is None and not args.american and "schedule" in entry:
-        if entry["schedule"] == "american":
-            args.american = True
-        else:
-            args.dates = int(entry["schedule"])
+def _entry_keys(flags: dict) -> dict:
+    """The catalog entry keys that the flags in ``flags`` set; None sets nothing."""
+    entry = {ENTRY_KEYS[k]: v for k, v in flags.items() if k in ENTRY_KEYS and v is not None}
+    model = {k: v for k, v in flags.items() if k in MODEL_FIELDS and v is not None}
+    if flags.get("spot") is not None:
+        model["s0"] = flags["spot"]
+    if flags.get("model"):
+        model["kind"] = flags["model"]
+    if model:
+        entry["model"] = model
+    if flags.get("american"):
+        entry["schedule"] = "american"
+    return entry
+
+
+def _entry(args) -> dict:
+    """The one catalog entry the flags describe.
+
+    Built-in defaults, then the first entry of --config, then every flag
+    given, each layer overriding the one before; inline model fields merge
+    field by field. The entry keeps one case: the --spot or --strike its
+    ``vary`` names, else its first value, else its model's spot or strike.
+    """
+    flags = vars(args)
+    entry = {"name": args.command, "scheme": "aes", "schedule": "american", "vary": "spot",
+             **_entry_keys({k: v for k, v in flags.items() if k not in args.given})}
+    if getattr(args, "config", None):
+        payload = catalog.load_config(args.config)
+        entry.update(payload.get("experiments", [payload])[0])
+        entry.pop("reference", None)
+    given = _entry_keys({k: flags[k] for k in args.given})
+    if "model" in given:
+        given["model"] = {**entry.get("model", {}), **given["model"]}
+    entry.update(given)
+    spot = entry["vary"] == "spot"
+    if flags.get("spot" if spot else "strike") is not None or "values" not in entry:
+        model, strike, _ = catalog._model_from_entry(entry)
+        entry["values"] = [model.s0 if spot else strike]
+    entry["values"] = entry["values"][:1]
+    return entry
+
+
+def _spec(args, parser) -> experiments.ExperimentSpec:
+    try:
+        return catalog.experiment_from_entry(_entry(args))
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _refuse_below_one(args, parser, flags):
@@ -131,43 +109,29 @@ def _refuse_below_one(args, parser, flags):
 
 
 def cmd_price(args, parser) -> int:
-    if args.config:
-        _price_config_defaults(args, parser)
     _refuse_below_one(args, parser, ("runs", "paths", "dates"))
-    model, strike, maturity = _resolve_model(args, parser)
-    grid = TimeGrid(maturity=maturity, steps=args.steps)
-    if args.dates is None:
-        schedule = ExerciseSchedule.every_step(grid)
-    else:
-        schedule = ExerciseSchedule.nearest(grid, args.dates)
-    payoff = PutPayoff(strike)
-    prices, errors = [], []
+    spec = _spec(args, parser)
     started = time.perf_counter()
-    for run in range(args.runs):
-        paths = simulate(args.scheme, model, grid, args.paths, args.seed + run)
-        result = lsm_price(paths, payoff, schedule, model.r)
-        prices.append(result.price)
-        errors.append(result.std_error)
+    report = experiments.run_experiment(spec)
     elapsed = time.perf_counter() - started
-    mean_price = float(np.mean(prices))
-    run_std = float(np.std(prices, ddof=1)) if args.runs > 1 else 0.0
+    case = report.cases[0]
     payload = {
-        "price": mean_price,
-        "run_std": run_std,
-        "mc_std_error": float(np.mean(errors)),
-        "runs": args.runs,
-        "n_paths": args.paths,
-        "n_steps": args.steps,
-        "n_exercise_dates": schedule.n_dates,
-        "scheme": args.scheme,
+        "price": case.mean_price,
+        "run_std": case.run_std,
+        "mc_std_error": float(np.mean(case.std_errors)),
+        "runs": spec.runs,
+        "n_paths": spec.n_paths,
+        "n_steps": spec.n_steps,
+        "n_exercise_dates": len(report.schedule_indices),
+        "scheme": spec.scheme,
         "elapsed_s": elapsed,
-        "memory_bytes": result.memory_bytes,
+        "memory_bytes": case.memory_bytes,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(f"price          {mean_price:.6f}")
-        print(f"run std        {run_std:.6f}  ({args.runs} runs)")
+        print(f"price          {case.mean_price:.6f}")
+        print(f"run std        {case.run_std:.6f}  ({spec.runs} runs)")
         print(f"mc std error   {payload['mc_std_error']:.6f}")
         print(f"elapsed        {elapsed:.3f} s")
         print(f"memory proxy   {payload['memory_bytes']} bytes")
@@ -194,24 +158,19 @@ def cmd_tables(args, parser) -> int:
 
 def cmd_bench(args, parser) -> int:
     _refuse_below_one(args, parser, ("euler_steps", "dates"))
-    model, strike, maturity = _resolve_model(args, parser)
-    aes_steps = args.steps
+    spec = _spec(args, parser)
+    aes_steps = spec.n_steps
     euler_steps = args.euler_steps or 2 * aes_steps
-    dates = args.dates or aes_steps
-    rows = []
+    cases = []
     for scheme, steps in (("aes", aes_steps), ("euler", euler_steps)):
-        spec = experiments.ExperimentSpec(
-            name=f"bench-{scheme}-m{steps}",
-            model=model, scheme=scheme, n_paths=args.paths, n_steps=steps,
-            schedule=dates, vary="spot", values=(model.s0,), strike=strike,
-            maturity=maturity, runs=args.runs, base_seed=args.seed,
-        )
-        report = experiments.run_experiment(spec)
-        rows.append((scheme, steps, report.cases[0]))
-        print(f"{scheme:6s} M={steps:<4d} price={report.cases[0].mean_price:.6f} "
-              f"run_std={report.cases[0].run_std:.6f} "
-              f"time={report.cases[0].elapsed_s:.3f}s mem={report.cases[0].memory_bytes}")
-    aes_case, euler_case = rows[0][2], rows[1][2]
+        case = experiments.run_experiment(replace(
+            spec, name=f"bench-{scheme}-m{steps}", scheme=scheme, n_steps=steps,
+            schedule=args.dates or aes_steps,
+        )).cases[0]
+        cases.append(case)
+        print(f"{scheme:6s} M={steps:<4d} price={case.mean_price:.6f} run_std={case.run_std:.6f} "
+              f"time={case.elapsed_s:.3f}s mem={case.memory_bytes}")
+    aes_case, euler_case = cases
     time_ratio = euler_case.elapsed_s / aes_case.elapsed_s
     mem_ratio = euler_case.memory_bytes / aes_case.memory_bytes
     rel_gap = abs(euler_case.mean_price - aes_case.mean_price) / aes_case.mean_price
@@ -231,9 +190,9 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_paths(args, parser) -> int:
-    model, _, maturity = _resolve_model(args, parser)
-    grid = TimeGrid(maturity=maturity, steps=args.steps)
-    paths = simulate(args.scheme, model, grid, args.paths, args.seed)
+    spec = _spec(args, parser)
+    # without --config the entry's one case is its model's spot (--spot sets s0)
+    paths = simulate(spec.scheme, spec.model, spec.grid(), spec.n_paths, spec.base_seed)
     if args.out:
         dump_paths_csv(paths, args.out)
         print(args.out)
@@ -302,10 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    # argparse stores every default; parsing the subcommand's flags again into
+    # a namespace that already holds each dest leaves only the given ones set
+    unset = object()
+    again = args.subparser.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(vars(args), unset)))
+    args.given = {dest for dest, value in vars(again).items() if value is not unset}
     try:
-        return args.func(args, parser)
+        return args.func(args, args.subparser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -187,7 +187,7 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
             sim_s[i, run] = simulated_s
             prices[i, run] = result.price
             std_errors[i, run] = result.std_error
-            memory_bytes = result.memory_bytes
+            memory_bytes = paths.memory_bytes
     for i, value in enumerate(spec.values):
         case = CaseResult(
             case=spec.case_label(value),

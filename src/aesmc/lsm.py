@@ -8,7 +8,6 @@ the per-path exercise time; there is no exercise at t = 0.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -108,10 +107,6 @@ def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray
 class LsmResult:
     price: float
     std_error: float
-    n_paths: int
-    n_steps: int
-    elapsed_seconds: float
-    memory_bytes: int
 
 
 def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: float):
@@ -152,16 +147,7 @@ def lsm_price(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: 
     With the degenerate schedule {M} this reduces exactly to the European
     Monte Carlo estimator on the same paths.
     """
-    start = time.perf_counter()
     cashflow, exercise_index = backward_induction(paths, payoff, schedule, r)
     discounted = np.exp(-r * paths.grid.dt * exercise_index) * cashflow
-    price = float(discounted.mean())
     std_error = float(discounted.std(ddof=1) / np.sqrt(paths.n_paths)) if paths.n_paths > 1 else 0.0
-    return LsmResult(
-        price=price,
-        std_error=std_error,
-        n_paths=paths.n_paths,
-        n_steps=paths.grid.steps,
-        elapsed_seconds=time.perf_counter() - start,
-        memory_bytes=paths.memory_bytes,
-    )
+    return LsmResult(price=float(discounted.mean()), std_error=std_error)

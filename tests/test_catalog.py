@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from aesmc.catalog import (
     run_table,
     table_specs,
 )
-from aesmc.models import DoubleHestonParams, HestonParams
+from aesmc.models import DoubleHestonParams, HestonParams, preset
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -75,6 +76,15 @@ def test_inline_model_entry():
     })
     assert isinstance(spec.model, HestonParams)
     assert spec.model.kappa == 1.5 and spec.strike == 100.0
+
+
+def test_inline_fields_fill_from_preset():
+    entry = {"name": "x", "scheme": "aes", "n_paths": 10, "n_steps": 2, "schedule": "american",
+             "vary": "spot", "values": [1.0], "preset": "feller-violating", "model": {"gamma": 0.5}}
+    spec = experiment_from_entry(entry)
+    assert spec.model == replace(preset("feller-violating").params, gamma=0.5)
+    with pytest.raises(ValueError, match="gamma_1"):
+        experiment_from_entry({**entry, "model": {"gamma_1": 0.5}})
 
 
 def test_run_table_writes_csv_and_json(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -112,6 +113,63 @@ def test_price_config_file_with_flag_override(tmp_path, capsys):
     # explicit flag beats the config value
     assert main(["price", "--config", str(cfg), "--paths", "800", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["n_paths"] == 800
+
+
+def _price_json(argv, capsys) -> dict:
+    assert main(["price", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_price_config_scheme_used_unless_flag_given(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(VARY_SPOT_CONFIG.replace("scheme: aes", "scheme: euler"))
+    from_config = _price_json(["--config", str(cfg)], capsys)
+    flags = _price_json(["--preset", "feller-violating", "--scheme", "euler", "--spot", "95",
+                         "--steps", "3", "--american", "--paths", "1500", "--seed", "11"], capsys)
+    assert from_config["scheme"] == "euler" and from_config["price"] == flags["price"]
+    overridden = _price_json(["--config", str(cfg), "--scheme", "aes"], capsys)
+    assert overridden["scheme"] == "aes" and overridden["price"] == 5.912835459192082
+
+
+def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(VARY_SPOT_CONFIG)
+    seed0 = tmp_path / "seed0.yaml"
+    seed0.write_text(VARY_SPOT_CONFIG.replace("base_seed: 11", "base_seed: 0"))
+    assert _price_json(["--config", str(cfg), "--paths", "100000"], capsys)["n_paths"] == 100_000
+    explicit = _price_json(["--config", str(cfg), "--seed", "0"], capsys)["price"]
+    assert explicit == _price_json(["--config", str(seed0)], capsys)["price"]
+    assert explicit != _price_json(["--config", str(cfg)], capsys)["price"]
+
+
+def test_price_vary_strike_config_prices_first_strike(capsys):
+    # table5: double-heston-zhang, AES, M=12, American, strikes 56.9/61.9/66.9, seed 8800
+    cfg = str(resources.files("aesmc.configs").joinpath("table5.yaml"))
+    small = ["--paths", "2000", "--runs", "1"]
+    flags = ["--preset", "double-heston-zhang", "--steps", "12", "--american", "--seed", "8800", *small]
+    first = _price_json(["--config", cfg, *small], capsys)["price"]
+    assert first == _price_json([*flags, "--strike", "56.9"], capsys)["price"]
+    chosen = _price_json(["--config", cfg, "--strike", "66.9", *small], capsys)["price"]
+    assert chosen == _price_json([*flags, "--strike", "66.9"], capsys)["price"]
+
+
+ENTRY = ("experiments:\n  - name: bad\n    scheme: aes\n    n_paths: 100\n    n_steps: 2\n"
+         "    schedule: american\n    vary: spot\n    values: [9.0]\n    runs: 1\n")
+
+
+@pytest.mark.parametrize("broken, named", [
+    (ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: {kind: heston, s0: 10.0, v0: 0.04,"
+     " r: 0.1, kappa: 5.0, nu_bar: 0.16, gamma: 0.9}\n", "rho"),
+    (ENTRY + "    preset: nope\n", "nope"),
+    (ENTRY.replace("    scheme: aes\n", "") + "    preset: feller-holding\n", "scheme"),
+], ids=["missing-model-field", "unknown-preset", "missing-key"])
+def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(broken)
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--config", str(cfg), "--out", str(tmp_path / "reports")])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_tables_unknown_id_usage_error(capsys):

@@ -205,14 +205,6 @@ def test_empty_regression_dates_are_skipped(eq5_paths):
     assert res.price == 0.0
 
 
-def test_result_metadata(eq5_paths):
-    res = lsm_price(eq5_paths, PutPayoff(100.0), ExerciseSchedule.every_step(eq5_paths.grid), EQ5.r)
-    assert res.n_paths == eq5_paths.n_paths
-    assert res.n_steps == eq5_paths.grid.steps
-    assert res.memory_bytes == eq5_paths.memory_bytes
-    assert res.elapsed_seconds > 0.0
-
-
 def test_schedule_grid_mismatch_rejected(eq5_paths):
     other = ExerciseSchedule.every_step(TimeGrid(0.25, 10))
     with pytest.raises(ValueError, match="grid"):
