@@ -149,5 +149,6 @@ def lsm_price(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: 
     """
     cashflow, exercise_index = backward_induction(paths, payoff, schedule, r)
     discounted = np.exp(-r * paths.grid.dt * exercise_index) * cashflow
+    price = float(discounted.mean())
     std_error = float(discounted.std(ddof=1) / np.sqrt(paths.n_paths)) if paths.n_paths > 1 else 0.0
-    return LsmResult(price=float(discounted.mean()), std_error=std_error)
+    return LsmResult(price=price, std_error=std_error)
