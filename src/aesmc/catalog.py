@@ -11,6 +11,7 @@ config asks for ``source: self-euler``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -66,7 +67,7 @@ def _model_from_entry(entry: dict):
     Inline ``model`` fields override the preset's, and fields not given are
     taken from the preset where the names match; ``kind`` defaults to the
     preset's model kind, else heston. A missing or unknown preset, kind or
-    field raises a ValueError that names it.
+    field, or a field that is not a number, raises a ValueError that names it.
     """
     model = strike = maturity = None
     if "preset" in entry:
@@ -86,6 +87,10 @@ def _model_from_entry(entry: dict):
         unknown = sorted(set(inline) - set(names))
         if unknown:
             raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+        non_numeric = sorted(n for n, v in inline.items()
+                             if isinstance(v, bool) or not isinstance(v, numbers.Real))
+        if non_numeric:
+            raise ValueError(f"{cls.__name__} field(s) must be numbers: {', '.join(non_numeric)}")
         if model is not None:
             inline = {**{n: getattr(model, n) for n in names if hasattr(model, n)}, **inline}
         missing = [n for n in names if n not in inline]

@@ -2,9 +2,9 @@
 
 An ``ExperimentSpec`` describes one pricing experiment (model, scheme, grid,
 schedule, the list of spots or strikes, run count, seeds, optional reference
-prices). ``run_experiment`` executes it: for each run r the paths are
-simulated with seed = base_seed + r, once per run when only the strike
-varies, and every case is priced on them; per-case aggregates (mean,
+prices). ``run_experiment`` executes it: for each run r the spot-free paths
+are simulated once with seed = base_seed + r, and every case, whether it
+varies the spot or the strike, is priced on them; per-case aggregates (mean,
 across-run std, mean wall time, memory proxy, relative error) go into
 an ``ExperimentReport`` that can be emitted as CSV or JSON with a stable row
 order and schema.
@@ -63,11 +63,15 @@ class ExperimentSpec:
             errors.append("n_steps must be >= 1")
         if not self.values:
             errors.append("values must be nonempty")
+        elif not all(np.isfinite(v) and v > 0.0 for v in map(float, self.values)):
+            errors.append("values must be positive")
         if isinstance(self.schedule, str):
             if self.schedule != "american":
                 errors.append(f"schedule must be a date count or 'american', got {self.schedule!r}")
         elif int(self.schedule) < 1:
             errors.append("schedule date count must be >= 1")
+        elif int(self.schedule) > int(self.n_steps):
+            errors.append(f"schedule date count {int(self.schedule)} exceeds n_steps {int(self.n_steps)}")
         if self.reference_prices is not None and len(self.reference_prices) != len(self.values):
             errors.append("reference_prices length must match values")
         if errors:
@@ -143,20 +147,13 @@ class ExperimentReport:
         return [c.run_std / np.sqrt(self.runs) for c in self.cases]
 
 
-def _case_model(spec: ExperimentSpec, value: float):
-    if spec.vary == "spot":
-        return replace(spec.model, s0=value), spec.strike
-    return spec.model, value
-
-
 def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> ExperimentReport:
     """Execute one experiment: simulate + price per (run, case), aggregate.
 
-    Run r simulates with seed base_seed + r. When the cases vary the strike
-    the model is the same for every case, so one path set per run prices all
-    of them; when they vary the spot each case simulates its own. A case's
-    ``elapsed_s`` is its run's simulation time plus its own pricing time,
-    averaged over runs.
+    Run r simulates one spot-free path set with seed base_seed + r, and every
+    case prices it at its own spot and strike: the log-price increments do
+    not depend on the spot. A case's ``elapsed_s`` is its run's simulation
+    time plus its own pricing time, averaged over runs.
 
     ``run_prices_out``, when given, collects {case label: [price per run]}
     for callers that need per-run data (slack computations, diagnostics).
@@ -172,22 +169,21 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
         schedule_indices=schedule.exercise_indices,
         reference_source=spec.reference_source if spec.reference_prices is not None else "",
     )
-    cases = [_case_model(spec, value) for value in spec.values]
+    cases = [(value, spec.strike) if spec.vary == "spot" else (spec.model.s0, value)
+             for value in spec.values]
     prices, std_errors, sim_s, price_s = (np.empty((len(cases), spec.runs)) for _ in range(4))
     for run in range(spec.runs):
-        for i, (model, strike) in enumerate(cases):
-            if i == 0 or spec.vary == "spot":
-                paths = None  # never hold two path sets at once
-                t0 = time.perf_counter()
-                paths = simulate(spec.scheme, model, grid, spec.n_paths, spec.base_seed + run)
-                simulated_s = time.perf_counter() - t0
+        paths = None  # never hold two path sets at once
+        t0 = time.perf_counter()
+        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run)
+        sim_s[:, run] = time.perf_counter() - t0
+        for i, (spot, strike) in enumerate(cases):
             t0 = time.perf_counter()
-            result = lsm_price(paths, PutPayoff(strike), schedule, model.r)
+            result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)
             price_s[i, run] = time.perf_counter() - t0
-            sim_s[i, run] = simulated_s
             prices[i, run] = result.price
             std_errors[i, run] = result.std_error
-            memory_bytes = paths.memory_bytes
+    memory_bytes = paths.memory_bytes
     for i, value in enumerate(spec.values):
         case = CaseResult(
             case=spec.case_label(value),

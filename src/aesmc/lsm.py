@@ -119,19 +119,19 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     if schedule.grid != paths.grid:
         raise ValueError("schedule grid does not match the path grid")
     dt = paths.grid.dt
-    asset = paths.asset
     variances = paths.variances()
     last = schedule.exercise_indices[-1]
-    cashflow = payoff(asset[:, last])
+    cashflow = payoff(paths.s0 * paths.growth[:, last])
     exercise_index = np.full(paths.n_paths, last)
     for k in reversed(schedule.exercise_indices[:-1]):
-        immediate = payoff(asset[:, k])
+        spot = paths.s0 * paths.growth[:, k]
+        immediate = payoff(spot)
         rows = np.flatnonzero(immediate > 0.0)
         if rows.size == 0:
             continue
         immediate = immediate.take(rows)
         target = cashflow.take(rows) * np.exp(-r * dt * (exercise_index.take(rows) - k))
-        features = build_features(asset[:, k].take(rows), payoff.strike,
+        features = build_features(spot.take(rows), payoff.strike,
                                   [v[:, k].take(rows) for v in variances])
         coef = regress_continuation(features, target)
         exercised = immediate >= features @ coef

@@ -1,5 +1,11 @@
 """Path generators: almost-exact and truncated-Euler schemes, both models.
 
+Paths are spot-free: the log-price starts at 0 and the kernels store the
+growth factor S_t / S_0, while the spot is one scalar on the ``PathSet``.
+Under both models the log-price increments do not depend on S_0, so the
+growth and variance matrices at any two spots are the same bytes, and one
+simulation serves every spot.
+
 The almost-exact scheme (AES) advances each CIR variance factor by sampling
 its exact transition, a scaled noncentral chi-squared
 
@@ -67,19 +73,27 @@ class TimeGrid:
 class PathSet:
     """Simulated trajectories, one row per path, one column per grid time.
 
-    Arrays are Fortran-ordered so per-date cross sections (columns) are
-    contiguous for the backward induction sweep. ``variance_2`` is present
-    only for the double Heston model.
+    ``growth`` holds the spot-free growth factors S_t / S_0 (column 0 is 1.0)
+    and ``s0`` is the spot they scale, so ``replace(paths, s0=x)`` is the same
+    path set at spot x. Arrays are Fortran-ordered so per-date cross sections
+    (columns) are contiguous for the backward induction sweep. ``variance_2``
+    is present only for the double Heston model.
     """
 
     grid: TimeGrid
-    asset: np.ndarray
+    s0: float
+    growth: np.ndarray
     variance_1: np.ndarray
     variance_2: np.ndarray | None = None
 
     @property
+    def asset(self) -> np.ndarray:
+        """Asset prices ``s0 * growth``, built anew on each access."""
+        return self.s0 * self.growth
+
+    @property
     def n_paths(self) -> int:
-        return self.asset.shape[0]
+        return self.growth.shape[0]
 
     @property
     def n_fields(self) -> int:
@@ -156,26 +170,26 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
 
 # ---------------------------------------------------------------------------
 # Per-block kernels, one per scheme. Each fills its block's row slice of the
-# asset matrix and of one variance matrix per factor, from one keyed stream.
+# growth matrix and of one variance matrix per factor, from one keyed stream.
 # ---------------------------------------------------------------------------
 
-def _start_block(params, factors, asset, variances):
+def _start_block(factors, growth, variances):
     """Set the t=0 column of each row slice; return the running state (x, v)."""
-    count = asset.shape[0]
-    asset[:, 0] = params.s0
+    count = growth.shape[0]
+    growth[:, 0] = 1.0
     for var, f in zip(variances, factors):
         var[:, 0] = f.v0
-    x = np.full(count, math.log(params.s0))
+    x = np.zeros(count)
     v = [np.full(count, f.v0) for f in factors]
     return x, v
 
 
-def _aes_block(params, grid, stream, asset, variances):
-    count = asset.shape[0]
+def _aes_block(params, grid, stream, growth, variances):
+    count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
-    x, v = _start_block(params, factors, asset, variances)
+    x, v = _start_block(factors, growth, variances)
     for i in range(grid.steps):
         v_next = [
             cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
@@ -194,15 +208,15 @@ def _aes_block(params, grid, stream, asset, variances):
         v = v_next
         for var, vj in zip(variances, v):
             var[:, i + 1] = vj
-        asset[:, i + 1] = np.exp(x)
+        growth[:, i + 1] = np.exp(x)
 
 
-def _euler_block(params, grid, stream, asset, variances):
-    count = asset.shape[0]
+def _euler_block(params, grid, stream, growth, variances):
+    count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
-    x, v = _start_block(params, factors, asset, variances)
+    x, v = _start_block(factors, growth, variances)
     for i in range(grid.steps):
         z_v = [sample_standard_normal(stream, size=count) for _ in factors]
         z_x = [sample_standard_normal(stream, size=count) for _ in factors]
@@ -216,7 +230,7 @@ def _euler_block(params, grid, stream, asset, variances):
         v = v_next
         for var, vj in zip(variances, v):
             var[:, i + 1] = vj
-        asset[:, i + 1] = np.exp(x)
+        growth[:, i + 1] = np.exp(x)
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
@@ -230,13 +244,13 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int) -> Pa
     if int(n_paths) < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = int(n_paths)
-    asset = np.empty((n_paths, grid.steps + 1), order="F")
+    growth = np.empty((n_paths, grid.steps + 1), order="F")
     variances = tuple(np.empty((n_paths, grid.steps + 1), order="F") for _ in params.factors())
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         rows = slice(start, start + BLOCK_SIZE)
         _BLOCK_KERNELS[scheme](params, grid, RngStream(seed, block_id),
-                               asset[rows], tuple(var[rows] for var in variances))
-    return PathSet(grid, asset, *variances)
+                               growth[rows], tuple(var[rows] for var in variances))
+    return PathSet(grid, params.s0, growth, *variances)
 
 
 def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
@@ -255,12 +269,14 @@ def dump_paths_csv(paths: PathSet, destination):
     two_factor = paths.variance_2 is not None
     header = ["path", "step", "asset", "var1"] + (["var2"] if two_factor else [])
 
+    asset = paths.asset
+
     def _write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         for p in range(paths.n_paths):
             for k in range(paths.grid.steps + 1):
-                row = [p, k, repr(paths.asset[p, k]), repr(paths.variance_1[p, k])]
+                row = [p, k, repr(asset[p, k]), repr(paths.variance_1[p, k])]
                 if two_factor:
                     row.append(repr(paths.variance_2[p, k]))
                 writer.writerow(row)

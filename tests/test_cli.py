@@ -128,7 +128,7 @@ def test_price_config_scheme_used_unless_flag_given(tmp_path, capsys):
                          "--steps", "3", "--american", "--paths", "1500", "--seed", "11"], capsys)
     assert from_config["scheme"] == "euler" and from_config["price"] == flags["price"]
     overridden = _price_json(["--config", str(cfg), "--scheme", "aes"], capsys)
-    assert overridden["scheme"] == "aes" and overridden["price"] == 5.912835459192082
+    assert overridden["scheme"] == "aes" and overridden["price"] == 5.912835459192022
 
 
 def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
@@ -157,17 +157,44 @@ ENTRY = ("experiments:\n  - name: bad\n    scheme: aes\n    n_paths: 100\n    n_
          "    schedule: american\n    vary: spot\n    values: [9.0]\n    runs: 1\n")
 
 
+NON_NUMERIC_RHO = (ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: {kind: heston, s0: 10.0,"
+                   " v0: 0.04, r: 0.1, kappa: 5.0, nu_bar: 0.16, gamma: 0.9, rho: '-0.5'}\n")
+# a first entry that is valid, then one with more exercise dates than steps
+DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
+                     + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
+                     + "    preset: feller-holding\n")
+
+
 @pytest.mark.parametrize("broken, named", [
     (ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: {kind: heston, s0: 10.0, v0: 0.04,"
      " r: 0.1, kappa: 5.0, nu_bar: 0.16, gamma: 0.9}\n", "rho"),
     (ENTRY + "    preset: nope\n", "nope"),
     (ENTRY.replace("    scheme: aes\n", "") + "    preset: feller-holding\n", "scheme"),
-], ids=["missing-model-field", "unknown-preset", "missing-key"])
+    (NON_NUMERIC_RHO, "must be numbers: rho"),
+    (DATES_ABOVE_STEPS, "date count 3 exceeds n_steps 2"),
+], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
+        "dates-above-steps"])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
+    reports = tmp_path / "reports"
     with pytest.raises(SystemExit) as exc:
-        main(["tables", "--config", str(cfg), "--out", str(tmp_path / "reports")])
+        main(["tables", "--config", str(cfg), "--out", str(reports)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not reports.exists() or not any(reports.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--preset", "feller-violating", "--dates", "30", "--paths", "100"],
+     "date count 30 exceeds n_steps 12"),
+    (["--config", "{config}"], "must be numbers: rho"),
+], ids=["dates-above-steps", "non-numeric-model-field"])
+def test_price_entry_errors_are_usage_errors(argv, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(NON_NUMERIC_RHO)
+    with pytest.raises(SystemExit) as exc:
+        main(["price", *(str(cfg) if a == "{config}" else a for a in argv)])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
 
@@ -272,32 +299,32 @@ INLINE_HESTON = ["--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.0
 # stands for a file holding VARY_SPOT_CONFIG
 GOLDEN_PRICE = [
     ("preset-defaults", ["--preset", "feller-violating"],
-     {"price": 3.162065381235024, "run_std": 0.0, "mc_std_error": 0.015033577110718283,
+     {"price": 3.162065381235175, "run_std": 0.0, "mc_std_error": 0.015033577110718618,
       "runs": 1, "n_paths": 100000, "n_steps": 12, "n_exercise_dates": 12, "scheme": "aes",
       "memory_bytes": 20800000}),
     ("preset-gamma", ["--preset", "feller-violating", "--gamma", "0.5", *SMALL],
-     {"price": 3.2146661157158563, "run_std": 0.13823346499796157,
-      "mc_std_error": 0.12056934614739198, "runs": 2, "n_paths": 2000, "n_steps": 12,
+     {"price": 3.2146661157157777, "run_std": 0.13823346499795466,
+      "mc_std_error": 0.12056934614739066, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
     ("inline-heston", [*INLINE_HESTON, *SMALL],
-     {"price": 3.492986301482051, "run_std": 0.13704333372340308,
-      "mc_std_error": 0.11747792748143167, "runs": 2, "n_paths": 2000, "n_steps": 12,
+     {"price": 3.492986301482149, "run_std": 0.1370433337234062,
+      "mc_std_error": 0.11747792748143315, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
     ("spot-dates", ["--preset", "feller-violating", "--spot", "90", "--dates", "20",
                     "--steps", "20", *SMALL],
-     {"price": 10.179052656853724, "run_std": 0.0765670177454059,
+     {"price": 10.179052656853727, "run_std": 0.07656701774540717,
       "mc_std_error": 0.10752072631319479, "runs": 2, "n_paths": 2000, "n_steps": 20,
       "n_exercise_dates": 20, "scheme": "aes", "memory_bytes": 672000}),
     ("double-heston-american", ["--preset", "double-heston-zhang", "--american", *SMALL],
-     {"price": 9.893213322140031, "run_std": 0.13871575164786998,
-      "mc_std_error": 0.24373041387584707, "runs": 2, "n_paths": 2000, "n_steps": 12,
+     {"price": 9.893213322140085, "run_std": 0.13871575164787123,
+      "mc_std_error": 0.24373041387584754, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 624000}),
     ("config-vary-spot", ["--config", "{config}"],
-     {"price": 5.912835459192082, "run_std": 0.0, "mc_std_error": 0.14330565363221742,
+     {"price": 5.912835459192022, "run_std": 0.0, "mc_std_error": 0.14330565363221695,
       "runs": 1, "n_paths": 1500, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
       "memory_bytes": 96000}),
     ("config-vary-spot-paths", ["--config", "{config}", "--paths", "800"],
-     {"price": 5.7426575713773955, "run_std": 0.0, "mc_std_error": 0.2070336301854104,
+     {"price": 5.742657571377334, "run_std": 0.0, "mc_std_error": 0.20703363018540974,
       "runs": 1, "n_paths": 800, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
       "memory_bytes": 51200}),
 ]
@@ -325,9 +352,9 @@ def test_golden_bench_json(tmp_path, capsys):
         assert payload[scheme].pop("elapsed_s") > 0.0
     assert payload.pop("time_ratio") > 0.0
     assert payload == {
-        "aes": {"steps": 4, "price": 3.252456057611046, "memory_bytes": 160000},
-        "euler": {"steps": 8, "price": 3.180470488728087, "memory_bytes": 288000},
-        "memory_ratio": 1.8, "rel_gap": 0.02213267992184131,
+        "aes": {"steps": 4, "price": 3.25245605761107, "memory_bytes": 160000},
+        "euler": {"steps": 8, "price": 3.180470488728117, "memory_bytes": 288000},
+        "memory_ratio": 1.8, "rel_gap": 0.022132679921839236,
     }
 
 
@@ -335,10 +362,10 @@ def test_golden_bench_json(tmp_path, capsys):
 GOLDEN_PATHS_CSV = [
     (["--preset", "feller-violating", "--scheme", "aes", "--steps", "4", "--paths", "3",
       "--seed", "1"],
-     "225ef26e64228327c7a7a1253b688ae63f109ec0bc7d45f4d437b17d4a352d2f"),
+     "d07044acf44dc21ac93811f33d334c933938fe1f4abed2ce73788d739254bcd4"),
     (["--preset", "double-heston-zhang", "--scheme", "euler", "--spot", "55", "--steps", "3",
       "--paths", "4", "--seed", "2"],
-     "6975a5c35a45b65e2d47fb63b41d2b3b92d6ca74cfc8eb7572623729aaf8c4f6"),
+     "be21005ecbcf7291f3cd80386dd495305d4c150b33959a9eab8383ace5d3c00b"),
 ]
 
 

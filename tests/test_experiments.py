@@ -66,6 +66,14 @@ def test_spec_validation_collects_errors():
         smoke_spec(reference_prices=(1.0,))
     with pytest.raises(ValueError, match="schedule"):
         smoke_spec(schedule="weekly")
+    with pytest.raises(ValueError, match="values must be positive"):
+        smoke_spec(values=(90.0, 0.0))
+
+
+def test_spec_refuses_more_dates_than_steps():
+    with pytest.raises(ValueError, match="date count 5 exceeds n_steps 4"):
+        smoke_spec(schedule=5)
+    assert smoke_spec(schedule=4).resolve_schedule().n_dates == 4
 
 
 def test_reference_prices_and_relative_errors():
@@ -138,10 +146,20 @@ def test_strikes_share_one_path_set_per_run(monkeypatch):
             assert case.std_errors[run] == alone.std_error
 
 
-def test_spots_simulate_once_per_case_and_run(monkeypatch):
+def test_spots_share_one_path_set_per_run(monkeypatch):
+    spec = smoke_spec(runs=2)
     calls = _count_simulate(monkeypatch)
-    run_experiment(smoke_spec(runs=2))
-    assert len(calls) == 6
+    per_run: dict = {}
+    report = run_experiment(spec, run_prices_out=per_run)
+    assert len(calls) == 2
+    schedule = spec.resolve_schedule()
+    for run in range(2):
+        for case, spot in zip(report.cases, spec.values):
+            model = replace(EQ5.params, s0=spot)
+            paths = simulate("aes", model, spec.grid(), 1000, 123 + run)
+            alone = lsm_price(paths, PutPayoff(EQ5.strike), schedule, model.r)
+            assert per_run[case.case][run] == alone.price
+            assert case.std_errors[run] == alone.std_error
 
 
 def test_case_timings_and_run_std_errors():

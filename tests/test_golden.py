@@ -24,31 +24,31 @@ STEPS = 6
 # (scheme, preset, SHA-256 of asset then each variance matrix, repr of the every-step price)
 GOLDEN = [
     ("aes", "feller-holding",
-     ("6768aa2be8ce19313069ff956be137ecbbafe30bb63601f7bf40fe1c130f7836",
+     ("722b5d0c2eb194be0559cf5b5578d017c825c67597d932d0b72d5ce0f706f017",
       "42b03f7e0864e09a29e353baf86346e1aa9d4155e8262103bc5ac36ac469b226"),
-     "0.5060623717439887"),
+     "0.5060623717439877"),
     ("aes", "feller-violating",
-     ("147747aa1b85c2ea84897af896e0f310dab72bb7b035d2ad49ec73e46d7875fe",
+     ("d655f97410d3b2df6b6c845feb74deaaf2d6abfdb755aeef3d8a79f7b96aabe7",
       "824e655d49dae8a6955f7463b1a22e9b86f847c190e4171d9335c8b9c51490f1"),
-     "3.1948080122310896"),
+     "3.194808012231085"),
     ("aes", "double-heston-zhang",
-     ("37c30b96c849d9b058b31b91f3504af17aa4da6f386421e6666615de1a1802b7",
+     ("9ac126ca55996ec587f1aefbea283ddf4dad78f3a5828eaf357ef401d1625dad",
       "5e9cbc3cf5a1c96bb8c30dc2e3dc0e8a7fd161b4e7b77ee3d77c8cf5a22b230f",
       "5be3131b95e5c88214158b2ae8a2817bef120ff7b46265b124119d56d7d6509a"),
-     "9.602806990125945"),
+     "9.602806990125979"),
     ("euler", "feller-holding",
-     ("a02162cfa0a1fbad2ec82bca24eb7e00ccb1fc2af8f9b6b24cbbb53fd7e762f8",
+     ("740c1ce8bb58ad85c23c87296a4b864c0d21bbc2a87d909813ab6a6ab0e94fd1",
       "a5b6648aad0e41aaf745279c0eff92423cbff2342b9117e5e5b157f60821c0dd"),
-     "0.5103930824508321"),
+     "0.5103930824508335"),
     ("euler", "feller-violating",
-     ("49309bb371ca0f98b5d56291c17351305da96b119bb6ca29d1cbfaa63faf407c",
+     ("2ac565180f784421283acf25952808b4d1b12fa8c47d354826d5106c12f95829",
       "0e2c64b982fe5218b6cd23f491ee09648de9d74dd6a66d84dc4e12e96b150bbf"),
-     "3.442678160774337"),
+     "3.442678160774362"),
     ("euler", "double-heston-zhang",
-     ("c6b748a4dc443bcc38a2e122ee33a739fbc2bb7cbf0053e9fdea1fbcf799f3ac",
+     ("6bd91a7c34618c0760fe10ead53711527f27e8c7cf71e3d4148faec9b2ab03e1",
       "582bdde937e017e8715e69dbe47338106f80613d4a662e48d728a2f68691253b",
       "d29a06fac4221c2fba1fc750394a8bafcfba7e2afabddb3d280a0d5fc8a75cfc"),
-     "9.544666628750253"),
+     "9.54466662875026"),
 ]
 
 
@@ -70,17 +70,17 @@ MULTI_BLOCK_STEPS = 2
 # (scheme, preset, SHA-256 of asset then each variance matrix)
 GOLDEN_MULTI_BLOCK = [
     ("aes", "feller-violating",
-     ("ab82f3727a9892d5b5c0588965e91457e4e8354991af4fdab9a893bfc40d7c0d",
+     ("5b036969b855e34751769eec50511396891efdf0b1a4e557e4ca35ea7ab99be4",
       "fd7bdf3be27d4b3e84a10419a00a61c5aaeeafaebf1c770ccd41827360913d80")),
     ("aes", "double-heston-zhang",
-     ("821927e40852591251412913431c15e7657744a44cba5d10266528041cda72ee",
+     ("9901fc67754130bbebc17ddeb153e92591b9af759d045527be632ea35b9aec96",
       "aa8cb8054c5c6ad3801854747e018b895d0396a851518009c3956bb36c26b351",
       "dd7818c75f5e272e39d5ff8197418243cf9774cd234e74ae94af2b3e40cc370c")),
     ("euler", "feller-violating",
-     ("8ff3d2ffc0e14ebb6cd3ae852e111227bc155bf3df9d77a5b0399dcc55dff253",
+     ("0844cc3f576304a7fc456fb4e8d3d8b0e728ba3b9da9146a896c2beef2f8faa0",
       "273d4cdd915c736c2e50cb8896f1aa58168779825cdad99e9368e5ce64e423b8")),
     ("euler", "double-heston-zhang",
-     ("1072939c4199b3ec5c5242b3a84892e77352160cefe6c02fa19a0499a02ed9a7",
+     ("cbfd518ae8257c386d7b71393a5b1825b4c5cec01e79233e6a51c97e9e0cb249",
       "f3a41a32b916d0097ed93fd263bcdfa2db06e083dbc0e73aedd351892622b5cd",
       "0e0b1a76ce9696b61da6f889c0a8c4a0d7f964aa2acb210f4a8c60f0eca35fb2")),
 ]
@@ -104,12 +104,12 @@ EXPERIMENT_RUNS = 2
 # (table, experiment, overrides, {case: repr of each run's price})
 GOLDEN_EXPERIMENTS = [
     ("5", "table5-aes", {},
-     {"K=56.9": ["6.890358291635482", "6.992781975288346"],
-      "K=61.9": ["9.480921398013013", "9.605739471042515"],
-      "K=66.9": ["12.451008753702506", "12.63789818189887"]}),
+     {"K=56.9": ["6.8903582916355255", "6.9927819752883895"],
+      "K=61.9": ["9.480921398013065", "9.605739471042563"],
+      "K=66.9": ["12.451008753702567", "12.637898181898926"]}),
     ("2", "table2-aes", {"values": (11.0, 12.0), "reference_prices": None},
-     {"S0=11": ["0.20695210077267728", "0.20262045693050915"],
-      "S0=12": ["0.0794287443743244", "0.07514031870839416"]}),
+     {"S0=11": ["0.20695210077268195", "0.20262045693051378"],
+      "S0=12": ["0.07942874437432643", "0.07514031870839613"]}),
 ]
 
 

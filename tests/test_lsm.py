@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from aesmc.lsm import (
     regress_continuation,
 )
 from aesmc.models import PutPayoff, preset
-from aesmc.simulation import PathSet, TimeGrid, simulate
+from aesmc.simulation import TimeGrid, simulate
 
 EQ5 = preset("feller-violating").params
 ZHANG = preset("double-heston-zhang").params
@@ -181,8 +183,7 @@ def test_currency_scaling_invariance(eq5_paths):
     # power-of-two currency rescale: identical exercise decisions, exact price scaling
     schedule = ExerciseSchedule.every_step(eq5_paths.grid)
     cash1, idx1 = backward_induction(eq5_paths, PutPayoff(100.0), schedule, EQ5.r)
-    scaled = PathSet(grid=eq5_paths.grid, asset=eq5_paths.asset * 1024.0,
-                     variance_1=eq5_paths.variance_1)
+    scaled = replace(eq5_paths, s0=1024 * eq5_paths.s0)
     cash2, idx2 = backward_induction(scaled, PutPayoff(100.0 * 1024.0), schedule, EQ5.r)
     assert np.array_equal(idx1, idx2)
     assert np.array_equal(cash2, cash1 * 1024.0)

@@ -15,7 +15,6 @@ from aesmc.simulation import (
     log_price_constants,
     simulate,
     truncated_euler_variance_step,
-    PathSet,
     TimeGrid,
 )
 from conftest import ncx2_moment_se
@@ -150,6 +149,7 @@ def test_double_heston_constants_zhang():
 ])
 def test_initial_columns_exact(scheme, params, fields):
     paths = simulate(scheme, params, TimeGrid(0.25, 6), 500, seed=1)
+    assert np.all(paths.growth[:, 0] == 1.0)
     assert np.all(paths.asset[:, 0] == params.s0)
     if fields == 2:
         assert np.all(paths.variance_1[:, 0] == params.v0)
@@ -183,6 +183,17 @@ def test_truncated_euler_clips_negative_update():
 def test_euler_variance_stays_nonnegative():
     paths = simulate("euler", EQ5, TimeGrid(0.25, 40), 20_000, seed=4)
     assert paths.variance_1.min() >= 0.0
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("params", [EQ5, ZHANG], ids=["heston", "double-heston"])
+def test_paths_are_spot_free(scheme, params):
+    grid = TimeGrid(0.25, 6)
+    a = simulate(scheme, params, grid, 700, seed=13)
+    b = simulate(scheme, replace(params, s0=0.37 * params.s0), grid, 700, seed=13)
+    assert a.s0 == params.s0 and b.s0 == 0.37 * params.s0
+    for x, y in zip((a.growth, *a.variances()), (b.growth, *b.variances())):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_determinism_same_args_same_bits():
