@@ -5,11 +5,12 @@ basis or solve, or the experiment loop must reproduce these bytes exactly. A cha
 purpose updates them in a change of its own, stating why.
 """
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
-from aesmc.catalog import table_specs
+from aesmc.catalog import run_figure, table_specs
 from aesmc.experiments import run_experiment
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
@@ -121,3 +122,47 @@ def test_golden_experiment_run_prices(table, name, overrides, prices):
     per_run: dict = {}
     run_experiment(spec, run_prices_out=per_run)
     assert {case: [repr(p) for p in runs] for case, runs in per_run.items()} == prices
+
+
+# SHA-256 of every file a figure run writes, with its timing fields left out:
+# the references, the cases each report holds and the -diff.csv rows.
+TIMING_FIELDS = ("elapsed_s", "sim_s", "price_s", "time_diff_s")
+
+# (figure, scale, runs, {file name: SHA-256 of its untimed text})
+GOLDEN_FIGURES = [
+    ("fig1", 1000, 2,
+     {"fig1-s90.csv": "b3168b65f7a4f623cce477f0a8339ab13867ba8e00fad5e15a96aab2c488eccc",
+      "fig1-s90.json": "9c9647411fbcc8d839823aeae558f91f37dfbef4cbe3e31e503a040528161212",
+      "fig1-s100.csv": "c4b3460e9a9bd855a8bfe27689577493044ea7f365a228cb74fdaddc95f2c24e",
+      "fig1-s100.json": "a4275f5037a4c87b365a4bb78437a73d0d5006cd019f6bd4b30d5e55ad636adf",
+      "fig1-s110.csv": "3a6935d7a769376caea1560fa1e8013d694b18385d72e8bd744e0e15c6b16923",
+      "fig1-s110.json": "0c2f8bf5ca982c651428925d9849c722429985a5a020e1f7ad67370635cc918e"}),
+    ("fig3", 2000, 1,
+     {"fig3-s90.csv": "c4d63857408502175cf16a88a4805ec48df67b202f5482511847e146354a9458",
+      "fig3-s90.json": "b10a3a48e83f630d551a41ee22930207d2c2be6d1b0028af3a0f80f2965f45b0",
+      "fig3-s90-diff.csv": "5774282dd3b8612be95be9c93190ba92f43265565fcabb2c81d8de0607b15a7a",
+      "fig3-s100.csv": "a7768e98800bd85c5d3ad2210b16ddcabeed708db69e1cdf6c27b844bd938875",
+      "fig3-s100.json": "5d5d6c5d7a2e2c5c8a356d125b43c7f53f88ba171e9493cad9c8bc49464acca3",
+      "fig3-s100-diff.csv": "e075198f59ca55a0251c7ad273cba01e79f9cb8f08715c318c7154de40810cb5"}),
+]
+
+
+def untimed_text(path) -> str:
+    """A figure file's text without its timing fields."""
+    if path.suffix == ".json":
+        reports = json.loads(path.read_text())
+        for report in reports:
+            for case in report["cases"]:
+                for name in TIMING_FIELDS:
+                    case.pop(name, None)
+        return json.dumps(reports, indent=2)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+
+@pytest.mark.parametrize("fig, scale, runs, digests", GOLDEN_FIGURES, ids=[g[0] for g in GOLDEN_FIGURES])
+def test_golden_figure_files(fig, scale, runs, digests, tmp_path):
+    files = run_figure(fig, scale=scale, runs=runs, out_dir=tmp_path)
+    got = {p.name: hashlib.sha256(untimed_text(p).encode()).hexdigest() for p in files}
+    assert got == digests
