@@ -2,11 +2,14 @@
 
 Config files are YAML (see ``configs/``); user-supplied files via
 ``--config`` use the same schema. ``run_table`` executes every experiment of
-a table config, built-in or from a file, and writes one CSV and one JSON
-report per experiment.
-Figure runners produce the data behind the relative-error/time/memory
-figures, generating high-resolution Euler references on the fly when the
-config asks for ``source: self-euler``.
+a table config, built-in or from a file, through ``run_experiment`` and
+writes one CSV and one JSON report per experiment.
+``run_figure`` produces the data behind the relative-error/time/memory
+figures the same way: each (date count, scheme) is one experiment over all
+of the figure's spots, so every spot of a run prices the same paths. When
+the config asks for ``source: self-euler``, the reference prices come from a
+high-resolution Euler grid simulated once per (run, maturity), and go into
+each experiment's ``reference_prices``.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ import yaml
 from .experiments import (
     ExperimentReport,
     ExperimentSpec,
-    attach_references,
     emit_report,
     report_to_dict,
     reports_csv,
@@ -31,7 +33,7 @@ from .experiments import (
 )
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff, preset
-from .simulation import TimeGrid, simulate
+from .simulation import simulate
 
 TABLE_IDS = ("1", "2", "3", "4", "5", "6")
 FIGURE_IDS = ("fig1", "fig2", "fig3")
@@ -140,9 +142,14 @@ def table_specs(table_id) -> list[ExperimentSpec]:
     return [experiment_from_entry(e) for e in payload["experiments"]]
 
 
-def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
-              formats=("csv", "json")) -> list[Path]:
-    """Run one table's experiments and write a report file per experiment.
+def _at_scale(spec: ExperimentSpec, scale, runs, seed) -> ExperimentSpec:
+    """``spec`` at the given scale and run count, and with ``seed`` as its base seed when given."""
+    spec = scaled(spec, scale, runs)
+    return spec if seed is None else replace(spec, base_seed=int(seed))
+
+
+def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
+    """Run one table's experiments and write a CSV and a JSON report per experiment.
 
     ``table_id`` is a catalog id ('1'..'6') or the path of a table config file.
     """
@@ -150,142 +157,114 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports",
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for spec in table_specs(table_id):
-        spec = scaled(spec, scale, runs)
-        if seed is not None:
-            spec = replace(spec, base_seed=int(seed))
-        report = run_experiment(spec)
-        for fmt in formats:
+        report = run_experiment(_at_scale(spec, scale, runs, seed))
+        for fmt in ("csv", "json"):
             path = out_dir / f"{report.experiment}.{fmt}"
             emit_report(report, fmt, path)
             written.append(path)
     return written
 
 
-def _self_euler_references(model, strike, maturity, ref_steps, date_counts,
-                           n_paths, runs, base_seed) -> dict[int, tuple[float, float]]:
-    """Euler reference prices for several schedules off shared paths.
+def _self_euler_references(spec: ExperimentSpec, date_counts) -> dict[int, tuple[float, ...]]:
+    """Mean price of every case of ``spec`` under each date count, on ``spec``'s grid.
 
-    Simulates the high-resolution Euler grid once per run and prices every
-    requested date count on the same paths. Returns
-    {date_count: (mean_price, across_run_std)}.
+    Simulates the grid once per run, with seed base_seed + r, and prices every
+    (case, date count) on those paths. Returns {date_count: price per case}.
     """
-    grid = TimeGrid(maturity=maturity, steps=ref_steps)
+    grid = spec.grid()
     schedules = {d: ExerciseSchedule.nearest(grid, d) for d in date_counts}
-    payoff = PutPayoff(strike)
-    prices = {d: [] for d in date_counts}
-    for run in range(runs):
-        paths = simulate("euler", model, grid, n_paths, base_seed + run)
+    cases = spec.cases()
+    prices = {d: np.empty((len(cases), spec.runs)) for d in date_counts}
+    for run in range(spec.runs):
+        paths = None  # never hold two path sets at once
+        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run)
         for d, schedule in schedules.items():
-            prices[d].append(lsm_price(paths, payoff, schedule, model.r).price)
-    return {
-        d: (float(np.mean(p)), float(np.std(p, ddof=1)) if runs > 1 else 0.0)
-        for d, p in prices.items()
-    }
-
-
-def _figure_case_specs(payload, scale, runs, seed):
-    """Expand a figure config into per-(value, date_count, scheme) specs."""
-    model, strike, maturity_fixed = _model_from_entry(payload)
-    period_years = None
-    if "period_weeks" in payload:
-        period_years = payload["period_weeks"] / payload.get("weeks_per_year", 52)
-    base_seed = int(payload["base_seed"] if seed is None else seed)
-    for value in payload["values"]:
-        for dates in payload["date_counts"]:
-            maturity = dates * period_years if period_years else maturity_fixed
-            for scheme in payload["schemes"]:
-                steps = 2 * dates if scheme == "euler2x" else dates
-                spec = ExperimentSpec(
-                    name=f"{payload['name']}-{scheme}-d{dates}",
-                    model=model,
-                    scheme="euler" if scheme == "euler2x" else scheme,
-                    n_paths=int(payload["n_paths"]),
-                    n_steps=steps,
-                    schedule=dates,
-                    vary=payload["vary"],
-                    values=(value,),
-                    strike=strike,
-                    maturity=maturity,
-                    runs=int(payload.get("runs", 20)),
-                    base_seed=base_seed,
-                )
-                yield value, dates, scheme, scaled(spec, scale, runs), maturity
+            for i, (spot, strike) in enumerate(cases):
+                result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)
+                prices[d][i, run] = result.price
+    return {d: tuple(float(row.mean()) for row in p) for d, p in prices.items()}
 
 
 def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
-    """Produce the data files behind one figure (CSV + JSON per value)."""
+    """Produce the data files behind one figure: a CSV and a JSON file per value.
+
+    Each (date count, scheme) is one experiment over all of the figure's
+    values. With ``period_weeks`` the maturity is the date count times the
+    period, else the preset's. ``euler2x`` is Euler at twice the date count's
+    steps, and adds a ``-diff.csv`` per value. With ``reference.source:
+    self-euler`` the reference prices come from an Euler grid of
+    ``reference.n_steps`` steps (750 by default), simulated once per (run,
+    maturity) with seed base_seed + 10_000 + r.
+    """
     payload = load_config(fig_id)
     if payload.get("kind") != "figure":
         raise ValueError(f"config {fig_id!r} is not a figure config")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, strike, _ = _model_from_entry(payload)
     ref_cfg = payload.get("reference") or {}
     ref_steps = int(ref_cfg.get("n_steps", 750))
+    # the reference experiment; each figure experiment differs from it only
+    # in name, scheme, steps, schedule, maturity and reference prices
+    entry = {**payload, "scheme": "euler", "n_steps": ref_steps, "schedule": "american"}
+    ref_spec = _at_scale(experiment_from_entry(entry), scale, runs, seed)
     period_years = None
     if "period_weeks" in payload:
         period_years = payload["period_weeks"] / payload.get("weeks_per_year", 52)
+    maturities = {d: d * period_years if period_years else ref_spec.maturity
+                  for d in payload["date_counts"]}
 
-    cases = list(_figure_case_specs(payload, scale, runs, seed))
-    example = cases[0][3]
-    ref_runs, ref_paths, ref_seed = example.runs, example.n_paths, example.base_seed
-
-    # Reference prices share simulated paths across date counts (same grid),
-    # so group them by maturity.
-    references: dict[tuple[float, float], dict[int, tuple[float, float]]] = {}
+    ref_prices: dict[int, tuple[float, ...]] = {}
     if ref_cfg.get("source") == "self-euler":
-        by_maturity: dict[tuple[float, float], set[int]] = {}
-        for value, dates, _, _, maturity in cases:
-            by_maturity.setdefault((value, maturity), set()).add(dates)
-        for (value, maturity), date_set in by_maturity.items():
-            model_case = replace(model, s0=value) if payload["vary"] == "spot" else model
-            strike_case = strike if payload["vary"] == "spot" else value
-            references[(value, maturity)] = _self_euler_references(
-                model_case, strike_case, maturity, ref_steps, sorted(date_set),
-                ref_paths, ref_runs, ref_seed + 10_000,
-            )
+        for maturity in dict.fromkeys(maturities.values()):
+            ref_prices.update(_self_euler_references(
+                replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000),
+                [d for d, m in maturities.items() if m == maturity]))
+
+    reports: dict[tuple[int, str], ExperimentReport] = {}
+    for dates, maturity in maturities.items():
+        for scheme in payload["schemes"]:
+            reports[dates, scheme] = run_experiment(replace(
+                ref_spec, name=f"{payload['name']}-{scheme}-d{dates}",
+                scheme="euler" if scheme == "euler2x" else scheme,
+                n_steps=2 * dates if scheme == "euler2x" else dates, schedule=dates,
+                maturity=maturity, reference_prices=ref_prices.get(dates),
+                reference_source=f"self-euler-m{ref_steps}",
+            ))
 
     written: list[Path] = []
-    for value in payload["values"]:
-        value_reports: list[ExperimentReport] = []
-        rows_by_dates: dict[int, dict[str, ExperimentReport]] = {}
-        for case_value, dates, scheme, spec, maturity in cases:
-            if case_value != value:
-                continue
-            report = run_experiment(spec)
-            key = (value, maturity)
-            if key in references:
-                ref_price = references[key][dates][0]
-                attach_references(report, [ref_price], f"self-euler-m{ref_steps}")
-            value_reports.append(report)
-            rows_by_dates.setdefault(dates, {})[scheme] = report
-        tag = f"{payload['name']}-{'s' if payload['vary'] == 'spot' else 'k'}{value:g}"
+    for i, value in enumerate(ref_spec.values):
+        tag = f"{payload['name']}-{'s' if ref_spec.vary == 'spot' else 'k'}{value:g}"
+        value_reports = {key: replace(r, cases=[r.cases[i]]) for key, r in reports.items()}
         csv_path = out_dir / f"{tag}.csv"
-        csv_path.write_text(reports_csv(value_reports))
+        csv_path.write_text(reports_csv(value_reports.values()))
         json_path = out_dir / f"{tag}.json"
-        json_path.write_text(json.dumps([report_to_dict(r) for r in value_reports], indent=2) + "\n")
+        json_path.write_text(
+            json.dumps([report_to_dict(r) for r in value_reports.values()], indent=2) + "\n")
         written.extend([csv_path, json_path])
         if "euler2x" in payload["schemes"]:
-            written.append(_emit_scheme_diff(rows_by_dates, out_dir, tag, period_years))
+            written.append(_emit_scheme_diff(
+                value_reports, maturities if period_years else {}, out_dir / f"{tag}-diff.csv"))
     return written
 
 
-def _emit_scheme_diff(rows_by_dates, out_dir: Path, tag: str, period_years) -> Path:
-    """Euler(2M) minus AES(M) differences: relative error, time, memory."""
+def _emit_scheme_diff(reports, maturities, path: Path) -> Path:
+    """Euler(2M) minus AES(M) per date count: relative error, time, memory.
+
+    ``reports`` maps (date count, scheme) to a report of one case; the
+    maturity column is left empty for date counts not in ``maturities``.
+    """
     lines = ["dates,maturity,aes_rel_error,euler2x_rel_error,err_diff,time_diff_s,mem_diff_bytes"]
-    for dates in sorted(rows_by_dates):
-        pair = rows_by_dates[dates]
-        if "aes" not in pair or "euler2x" not in pair:
+    for dates in sorted({d for d, _ in reports}):
+        if (dates, "aes") not in reports or (dates, "euler2x") not in reports:
             continue
-        aes, eul = pair["aes"].cases[0], pair["euler2x"].cases[0]
-        maturity = dates * period_years if period_years else ""
+        aes, eul = reports[dates, "aes"].cases[0], reports[dates, "euler2x"].cases[0]
         err_diff = (
             eul.rel_error - aes.rel_error
             if (eul.rel_error is not None and aes.rel_error is not None)
             else None
         )
         cells = [
-            str(dates), repr(maturity) if maturity != "" else "",
+            str(dates), repr(maturities[dates]) if dates in maturities else "",
             "" if aes.rel_error is None else repr(aes.rel_error),
             "" if eul.rel_error is None else repr(eul.rel_error),
             "" if err_diff is None else repr(err_diff),
@@ -293,16 +272,5 @@ def _emit_scheme_diff(rows_by_dates, out_dir: Path, tag: str, period_years) -> P
             str(eul.memory_bytes - aes.memory_bytes),
         ]
         lines.append(",".join(cells))
-    path = out_dir / f"{tag}-diff.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def run_catalog_id(catalog_id, scale=1, runs=None, seed=None, out_dir="reports",
-                   formats=("csv", "json")) -> list[Path]:
-    catalog_id = str(catalog_id)
-    if catalog_id in TABLE_IDS:
-        return run_table(catalog_id, scale, runs, seed, out_dir, formats)
-    if catalog_id in FIGURE_IDS:
-        return run_figure(catalog_id, scale, runs, seed, out_dir)
-    raise ValueError(f"unknown id {catalog_id!r}; valid ids: {', '.join(available_ids())}")

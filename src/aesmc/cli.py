@@ -143,16 +143,20 @@ def cmd_price(args, parser) -> int:
 def cmd_tables(args, parser) -> int:
     if bool(args.id) == bool(args.config):
         parser.error("provide exactly one of --id or --config")
-    run = catalog.run_catalog_id if args.id else catalog.run_table
+    sources = [args.config]
+    if args.id:
+        sources = [i.strip() for i in args.id.split(",")]
+        unknown = [i for i in sources if i not in catalog.available_ids()]
+        if unknown:
+            parser.error(f"unknown id(s) {', '.join(map(repr, unknown))}; "
+                         f"valid ids: {', '.join(catalog.available_ids())}")
     try:
-        written = run(
-            args.id or args.config, scale=args.scale, runs=args.runs, seed=args.seed,
-            out_dir=args.out, formats=tuple(args.format.split(",")),
-        )
+        for source in sources:
+            run = catalog.run_figure if source in catalog.FIGURE_IDS else catalog.run_table
+            for path in run(source, scale=args.scale, runs=args.runs, seed=args.seed, out_dir=args.out):
+                print(path)
     except ValueError as exc:
         parser.error(str(exc))
-    for path in written:
-        print(path)
     return 0
 
 
@@ -226,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", formatter_class=fmt,
                        help="reproduce a source table or figure dataset")
-    t.add_argument("--id", default=None, help=f"one of: {', '.join(catalog.available_ids())}")
+    t.add_argument("--id", default=None,
+                   help=f"comma list of: {', '.join(catalog.available_ids())}")
     t.add_argument("--config", default=None, help="run experiments from a YAML config file instead")
     t.add_argument("--scale", type=int, default=10,
                    help="divide paper n_paths by this (1 = full scale)")
     t.add_argument("--runs", type=int, default=None, help="override run count")
     t.add_argument("--seed", type=int, default=None, help="override base seed")
     t.add_argument("--out", default="reports", help="output directory")
-    t.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
     t.set_defaults(func=cmd_tables, subparser=t)
 
     b = sub.add_parser("bench", formatter_class=fmt,

@@ -89,6 +89,11 @@ class ExperimentSpec:
             return ExerciseSchedule.every_step(grid)
         return ExerciseSchedule.nearest(grid, int(self.schedule))
 
+    def cases(self) -> list[tuple[float, float]]:
+        """The (spot, strike) each case prices, in ``values`` order."""
+        return [(value, self.strike) if self.vary == "spot" else (self.model.s0, value)
+                for value in self.values]
+
     def case_label(self, value: float) -> str:
         prefix = "S0=" if self.vary == "spot" else "K="
         return f"{prefix}{value:g}"
@@ -169,8 +174,7 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
         schedule_indices=schedule.exercise_indices,
         reference_source=spec.reference_source if spec.reference_prices is not None else "",
     )
-    cases = [(value, spec.strike) if spec.vary == "spot" else (spec.model.s0, value)
-             for value in spec.values]
+    cases = spec.cases()
     prices, std_errors, sim_s, price_s = (np.empty((len(cases), spec.runs)) for _ in range(4))
     for run in range(spec.runs):
         paths = None  # never hold two path sets at once
@@ -202,17 +206,6 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
         if run_prices_out is not None:
             run_prices_out[case.case] = prices[i].tolist()
         report.cases.append(case)
-    return report
-
-
-def attach_references(report: ExperimentReport, prices, source: str) -> ExperimentReport:
-    """Fill ref_price/rel_error columns of ``report`` from a price list."""
-    if len(prices) != len(report.cases):
-        raise ValueError("reference price count does not match cases")
-    for case, ref in zip(report.cases, prices):
-        case.ref_price = float(ref)
-        case.rel_error = abs(case.mean_price - case.ref_price) / case.ref_price
-    report.reference_source = source
     return report
 
 

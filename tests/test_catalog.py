@@ -3,16 +3,17 @@ from dataclasses import replace
 
 import pytest
 
+from aesmc import catalog, experiments
 from aesmc.catalog import (
     available_ids,
     experiment_from_entry,
     load_config,
-    run_catalog_id,
     run_figure,
     run_table,
     table_specs,
 )
 from aesmc.models import DoubleHestonParams, HestonParams, preset
+from aesmc.simulation import simulate
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -51,11 +52,6 @@ def test_figure_configs_load():
         assert payload["kind"] == "figure"
         assert payload["reference"]["n_steps"] == 750
     assert len(load_config("fig2")["date_counts"]) == 13
-
-
-def test_unknown_id_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown id"):
-        run_catalog_id("7", out_dir=tmp_path)
 
 
 def test_entry_requires_model_or_preset():
@@ -106,6 +102,22 @@ def test_run_figure_fig1_smoke(tmp_path):
         assert cells[8] != "" and cells[9] != ""   # self-generated references attached
     payload = json.loads((tmp_path / "fig1-s90.json").read_text())
     assert payload[0]["reference_source"] == "self-euler-m750"
+
+
+@pytest.mark.parametrize("fig_id, calls", [("fig1", 3), ("fig2", 39), ("fig3", 39)])
+def test_run_figure_shares_paths_across_spots(fig_id, calls, tmp_path, monkeypatch):
+    # one simulation per run of each (date count, scheme), plus one 750-step
+    # reference per run and maturity, whatever the number of spots
+    simulated = []
+
+    def counting(scheme, model, grid, n_paths, seed):
+        simulated.append(seed)
+        return simulate(scheme, model, grid, n_paths, seed)
+
+    monkeypatch.setattr(catalog, "simulate", counting)
+    monkeypatch.setattr(experiments, "simulate", counting)
+    run_figure(fig_id, scale=10_000, runs=1, out_dir=tmp_path)
+    assert len(simulated) == calls
 
 
 def test_run_figure_fig2_one_csv_per_spot(tmp_path):

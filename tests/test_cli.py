@@ -1,6 +1,7 @@
 import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,23 @@ def test_tables_unknown_id_usage_error(capsys):
         main(["tables", "--id", "99"])
     assert exc.value.code != 0
     assert "fig2" in capsys.readouterr().err
+
+
+def test_tables_id_list_runs_each_id(tmp_path, capsys):
+    argv = ["tables", "--id", "3,fig1", "--scale", "10000", "--runs", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    expected = sorted([f"table3-{s}.{ext}" for s in ("aes", "euler") for ext in ("csv", "json")]
+                      + [f"fig1-s{s}.{ext}" for s in (90, 100, 110) for ext in ("csv", "json")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    assert sorted(Path(line).name for line in capsys.readouterr().out.split()) == expected
+
+
+def test_tables_id_list_checked_before_running(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--id", "3,7", "--scale", "10000", "--runs", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "'7'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_tables_requires_id_or_config(capsys):

@@ -8,7 +8,6 @@ from aesmc import experiments
 from aesmc.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
-    attach_references,
     emit_report,
     load_report_json,
     report_from_dict,
@@ -245,15 +244,6 @@ def test_emit_reports_io_failure_with_path():
     report = run_experiment(smoke_spec())
     with pytest.raises(OSError, match="no/such/dir"):
         emit_report(report, "csv", "no/such/dir/report.csv")
-
-
-def test_attach_references():
-    report = run_experiment(smoke_spec())
-    attach_references(report, [9.0, 3.0, 1.0], "self-euler-m750")
-    assert report.reference_source == "self-euler-m750"
-    assert report.cases[0].rel_error == abs(report.cases[0].mean_price - 9.0) / 9.0
-    with pytest.raises(ValueError):
-        attach_references(report, [1.0], "x")
 
 
 def test_reference_ladder_monotone_and_seed_consistent():
