@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from aesmc.catalog import run_figure, table_specs
+from aesmc.catalog import TABLE_IDS, run_figure, run_table, table_specs
 from aesmc.experiments import run_experiment
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
@@ -124,11 +124,11 @@ def test_golden_experiment_run_prices(table, name, overrides, prices):
     assert {case: [repr(p) for p in runs] for case, runs in per_run.items()} == prices
 
 
-# SHA-256 of every file a figure run writes, with its timing fields left out:
-# the references, the cases each report holds and the -diff.csv rows.
+# SHA-256 of every file a figure or table run writes, with its timing fields
+# left out: the references, the cases each report holds and the -diff.csv rows.
 TIMING_FIELDS = ("elapsed_s", "sim_s", "price_s", "time_diff_s")
 
-# (figure, scale, runs, {file name: SHA-256 of its untimed text})
+# (figure or table id, scale, runs, {file name: SHA-256 of its untimed text})
 GOLDEN_FIGURES = [
     ("fig1", 1000, 2,
      {"fig1-s90.csv": "b3168b65f7a4f623cce477f0a8339ab13867ba8e00fad5e15a96aab2c488eccc",
@@ -144,25 +144,37 @@ GOLDEN_FIGURES = [
       "fig3-s100.csv": "a7768e98800bd85c5d3ad2210b16ddcabeed708db69e1cdf6c27b844bd938875",
       "fig3-s100.json": "5d5d6c5d7a2e2c5c8a356d125b43c7f53f88ba171e9493cad9c8bc49464acca3",
       "fig3-s100-diff.csv": "e075198f59ca55a0251c7ad273cba01e79f9cb8f08715c318c7154de40810cb5"}),
+    ("2", 200, 2,
+     {"table2-aes.csv": "ac3707120507f75cf2ed15145b92e2a0aca3ecef53159845a0d2b8b81e7e8a24",
+      "table2-aes.json": "1d6faa0c35eed8e59757c6d6e63092b068cb55623e0836471f97bb14bf020d86",
+      "table2-euler.csv": "3860a30d9696cb385e0984fa18f82832b9f117c436b4d6a4df0ea1bd7e63864a",
+      "table2-euler.json": "11af41f8239b39ace172cd47135131465645168bd2c925443ee16f96e9074664"}),
+    ("5", 500, 2,
+     {"table5-aes.csv": "e45915269d4e573fee60ca452e880d59d494a4dba2f1ea622ef95b9ed0139849",
+      "table5-aes.json": "999512bdf0998529f27e02cd6cbdb9f9f304c7092508f6a73903f5c72b7e0727",
+      "table5-euler.csv": "071dae268b11645acc70443f160b0a05d9d5e6c8d72930eef2dd96995f902b4b",
+      "table5-euler.json": "7cb08cd97d5641129958757f874c18119e46087326bbf46268c1bf8b33c1d00a"}),
 ]
 
 
 def untimed_text(path) -> str:
-    """A figure file's text without its timing fields."""
+    """A report file's text without its timing fields; its JSON is one report or a list."""
     if path.suffix == ".json":
-        reports = json.loads(path.read_text())
-        for report in reports:
+        payload = json.loads(path.read_text())
+        for report in payload if isinstance(payload, list) else [payload]:
             for case in report["cases"]:
                 for name in TIMING_FIELDS:
                     case.pop(name, None)
-        return json.dumps(reports, indent=2)
+        return json.dumps(payload, indent=2)
     rows = [line.split(",") for line in path.read_text().splitlines()]
     keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
     return "\n".join(",".join(row[i] for i in keep) for row in rows)
 
 
-@pytest.mark.parametrize("fig, scale, runs, digests", GOLDEN_FIGURES, ids=[g[0] for g in GOLDEN_FIGURES])
+@pytest.mark.parametrize("fig, scale, runs, digests", GOLDEN_FIGURES,
+                         ids=[f"table{g[0]}" if g[0] in TABLE_IDS else g[0] for g in GOLDEN_FIGURES])
 def test_golden_figure_files(fig, scale, runs, digests, tmp_path):
-    files = run_figure(fig, scale=scale, runs=runs, out_dir=tmp_path)
+    run = run_table if fig in TABLE_IDS else run_figure
+    files = run(fig, scale=scale, runs=runs, out_dir=tmp_path)
     got = {p.name: hashlib.sha256(untimed_text(p).encode()).hexdigest() for p in files}
     assert got == digests
