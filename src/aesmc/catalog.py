@@ -13,7 +13,6 @@ each experiment's ``reference_prices``.
 """
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import fields, replace
 from importlib import resources
@@ -25,9 +24,8 @@ import yaml
 from .experiments import (
     ExperimentReport,
     ExperimentSpec,
+    _csv_cell,
     emit_report,
-    report_to_dict,
-    reports_csv,
     run_experiment,
     scaled,
 )
@@ -69,7 +67,8 @@ def _model_from_entry(entry: dict):
     Inline ``model`` fields override the preset's, and fields not given are
     taken from the preset where the names match; ``kind`` defaults to the
     preset's model kind, else heston. A missing or unknown preset, kind or
-    field, or a field that is not a number, raises a ValueError that names it.
+    field, a field that is not a number, or a missing maturity raises a
+    ValueError that names it. The strike is None when neither gives one.
     """
     model = strike = maturity = None
     if "preset" in entry:
@@ -103,10 +102,16 @@ def _model_from_entry(entry: dict):
         raise ValueError("experiment entry needs a 'preset' or an inline 'model'")
     strike = entry.get("strike", strike)
     maturity = entry.get("maturity", maturity)
-    for key, value in (("strike", strike), ("maturity", maturity)):
-        if value is None:
-            raise ValueError(f"missing {key!r}: give it in the entry or through a preset")
-    return model, float(strike), float(maturity)
+    if maturity is None:
+        raise ValueError("missing 'maturity': give it in the entry or through a preset")
+    return model, None if strike is None else float(strike), float(maturity)
+
+
+def number_list(key: str, value) -> tuple:
+    """``value`` as a tuple; a ValueError naming ``key`` unless it is a YAML list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of numbers, got {value!r}")
+    return tuple(value)
 
 
 def experiment_from_entry(entry: dict) -> ExperimentSpec:
@@ -116,7 +121,10 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
         raise ValueError(f"experiment entry {entry.get('name', '')!r} is missing "
                          f"key(s): {', '.join(missing)}")
     model, strike, maturity = _model_from_entry(entry)
+    if strike is None:
+        raise ValueError("missing 'strike': give it in the entry or through a preset")
     reference = entry.get("reference") or {}
+    prices = reference.get("prices")
     return ExperimentSpec(
         name=entry["name"],
         model=model,
@@ -125,12 +133,12 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
         n_steps=int(entry["n_steps"]),
         schedule=entry["schedule"],
         vary=entry["vary"],
-        values=tuple(entry["values"]),
+        values=number_list("values", entry["values"]),
         strike=strike,
         maturity=maturity,
         runs=int(entry.get("runs", 20)),
         base_seed=int(entry.get("base_seed", 0)),
-        reference_prices=tuple(reference["prices"]) if reference.get("prices") else None,
+        reference_prices=number_list("reference.prices", prices) if prices else None,
         reference_source=reference.get("source", ""),
     )
 
@@ -158,10 +166,7 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> lis
     written = []
     for spec in table_specs(table_id):
         report = run_experiment(_at_scale(spec, scale, runs, seed))
-        for fmt in ("csv", "json"):
-            path = out_dir / f"{report.experiment}.{fmt}"
-            emit_report(report, fmt, path)
-            written.append(path)
+        written.extend(emit_report(report, out_dir / report.experiment))
     return written
 
 
@@ -235,12 +240,7 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     for i, value in enumerate(ref_spec.values):
         tag = f"{payload['name']}-{'s' if ref_spec.vary == 'spot' else 'k'}{value:g}"
         value_reports = {key: replace(r, cases=[r.cases[i]]) for key, r in reports.items()}
-        csv_path = out_dir / f"{tag}.csv"
-        csv_path.write_text(reports_csv(value_reports.values()))
-        json_path = out_dir / f"{tag}.json"
-        json_path.write_text(
-            json.dumps([report_to_dict(r) for r in value_reports.values()], indent=2) + "\n")
-        written.extend([csv_path, json_path])
+        written.extend(emit_report(list(value_reports.values()), out_dir / tag))
         if "euler2x" in payload["schemes"]:
             written.append(_emit_scheme_diff(
                 value_reports, maturities if period_years else {}, out_dir / f"{tag}-diff.csv"))
@@ -263,14 +263,8 @@ def _emit_scheme_diff(reports, maturities, path: Path) -> Path:
             if (eul.rel_error is not None and aes.rel_error is not None)
             else None
         )
-        cells = [
-            str(dates), repr(maturities[dates]) if dates in maturities else "",
-            "" if aes.rel_error is None else repr(aes.rel_error),
-            "" if eul.rel_error is None else repr(eul.rel_error),
-            "" if err_diff is None else repr(err_diff),
-            repr(eul.elapsed_s - aes.elapsed_s),
-            str(eul.memory_bytes - aes.memory_bytes),
-        ]
-        lines.append(",".join(cells))
+        cells = [dates, maturities.get(dates), aes.rel_error, eul.rel_error, err_diff,
+                 eul.elapsed_s - aes.elapsed_s, eul.memory_bytes - aes.memory_bytes]
+        lines.append(",".join(_csv_cell(c) for c in cells))
     path.write_text("\n".join(lines) + "\n")
     return path

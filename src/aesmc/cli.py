@@ -2,9 +2,9 @@
 
 Every subcommand honors --seed and --out, runs in one process and is
 deterministic given its flags. ``price``, ``bench`` and ``paths`` turn their
-flags into one catalog entry and build its spec with
-``catalog.experiment_from_entry``, so a flag means what the same YAML key
-means in a config file.
+flags into one catalog entry, so a flag means what the same YAML key means in
+a config file. ``price`` and ``bench`` build the entry's spec with
+``catalog.experiment_from_entry``; ``paths`` reads only its model and maturity.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog, experiments
 from .models import PRESETS
-from .simulation import dump_paths_csv, simulate
+from .simulation import TimeGrid, dump_paths_csv, simulate
 
 MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)})
 # Flags that each set one key of the catalog entry.
@@ -89,7 +89,7 @@ def _entry(args) -> dict:
     if flags.get("spot" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
         entry["values"] = [model.s0 if spot else strike]
-    entry["values"] = entry["values"][:1]
+    entry["values"] = list(catalog.number_list("values", entry["values"])[:1])
     return entry
 
 
@@ -194,9 +194,13 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_paths(args, parser) -> int:
-    spec = _spec(args, parser)
-    # without --config the entry's one case is its model's spot (--spot sets s0)
-    paths = simulate(spec.scheme, spec.model, spec.grid(), spec.n_paths, spec.base_seed)
+    # paths price nothing, so they need the entry's model and maturity but no strike
+    _refuse_below_one(args, parser, ("steps", "paths"))
+    try:
+        model, _, maturity = catalog._model_from_entry(_entry_keys(vars(args)))
+    except ValueError as exc:
+        parser.error(str(exc))
+    paths = simulate(args.scheme, model, TimeGrid(maturity, args.steps), args.paths, args.seed)
     if args.out:
         dump_paths_csv(paths, args.out)
         print(args.out)

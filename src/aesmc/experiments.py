@@ -6,8 +6,8 @@ prices). ``run_experiment`` executes it: for each run r the spot-free paths
 are simulated once with seed = base_seed + r, and every case, whether it
 varies the spot or the strike, is priced on them; per-case aggregates (mean,
 across-run std, mean wall time, memory proxy, relative error) go into
-an ``ExperimentReport`` that can be emitted as CSV or JSON with a stable row
-order and schema.
+an ``ExperimentReport``. ``emit_report`` writes reports as CSV and JSON with
+a stable row order and schema.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +28,7 @@ CSV_COLUMNS = [
     "mean_price", "run_std", "ref_price", "rel_error", "elapsed_s", "memory_bytes",
 ]
 
-# Desk-scale defaults: paths divided by the scale factor, runs capped at 10.
-DESK_SCALE = 10
+# Desk scale caps the run count at 10.
 DESK_RUNS = 10
 
 
@@ -143,10 +143,6 @@ class ExperimentReport:
     cases: list[CaseResult] = field(default_factory=list)
 
     @property
-    def prices(self) -> list[float]:
-        return [c.mean_price for c in self.cases]
-
-    @property
     def case_std_errors(self) -> list[float]:
         """Standard error of each case's mean price across runs."""
         return [c.run_std / np.sqrt(self.runs) for c in self.cases]
@@ -209,32 +205,6 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
     return report
 
 
-def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "experiment": report.experiment,
-        "scheme": report.scheme,
-        "n_steps": report.n_steps,
-        "n_paths": report.n_paths,
-        "runs": report.runs,
-        "schedule_indices": list(report.schedule_indices),
-        "reference_source": report.reference_source,
-        "cases": [dataclasses.asdict(c) for c in report.cases],
-    }
-
-
-def report_from_dict(payload: dict) -> ExperimentReport:
-    return ExperimentReport(
-        experiment=payload["experiment"],
-        scheme=payload["scheme"],
-        n_steps=payload["n_steps"],
-        n_paths=payload["n_paths"],
-        runs=payload["runs"],
-        schedule_indices=tuple(payload["schedule_indices"]),
-        reference_source=payload["reference_source"],
-        cases=[CaseResult(**c) for c in payload["cases"]],
-    )
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -258,21 +228,21 @@ def reports_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, format: str, path) -> None:
-    """Write the report to ``path`` as csv or json (stable ordering)."""
-    if format == "csv":
-        text = reports_csv([report])
-    elif format == "json":
-        text = json.dumps(report_to_dict(report), indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"failed to write report to {path}: {exc}") from exc
+def emit_report(reports: ExperimentReport | list[ExperimentReport], stem) -> tuple[Path, Path]:
+    """Write ``<stem>.csv`` and ``<stem>.json`` and return their paths, CSV first.
+
+    The JSON holds one report as an object and a list of reports as a list.
+    """
+    many = isinstance(reports, list)
+    csv_path, json_path = Path(f"{stem}.csv"), Path(f"{stem}.json")
+    csv_path.write_text(reports_csv(reports if many else [reports]))
+    payload = [dataclasses.asdict(r) for r in reports] if many else dataclasses.asdict(reports)
+    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    return csv_path, json_path
 
 
 def load_report_json(path) -> ExperimentReport:
-    with open(path) as fh:
-        return report_from_dict(json.load(fh))
+    """The report of a one-report JSON file, as ``emit_report`` writes it for a table."""
+    payload = json.loads(Path(path).read_text())
+    return ExperimentReport(**{**payload, "schedule_indices": tuple(payload["schedule_indices"]),
+                               "cases": [CaseResult(**c) for c in payload["cases"]]})

@@ -1,4 +1,4 @@
-"""Seeded sampling primitives: uniform, normal, gamma, Poisson, noncentral chi-squared.
+"""Seeded sampling primitives: normal, gamma, Poisson, noncentral chi-squared.
 
 Streams are counter-based (Philox) and fully determined by ``(seed, stream_id)``,
 so a stream for path block *b* can be created at any point, in any order, and
@@ -78,11 +78,6 @@ class NoncentralChiSqParams:
 def _as_scalar_or_array(x):
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
-
-
-def sample_uniform(stream: RngStream, size=None):
-    """Uniform draw(s) on [0, 1)."""
-    return _as_scalar_or_array(stream.generator.random(size=size))
 
 
 def sample_standard_normal(stream: RngStream, size=None):

@@ -160,6 +160,9 @@ ENTRY = ("experiments:\n  - name: bad\n    scheme: aes\n    n_paths: 100\n    n_
 
 NON_NUMERIC_RHO = (ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: {kind: heston, s0: 10.0,"
                    " v0: 0.04, r: 0.1, kappa: 5.0, nu_bar: 0.16, gamma: 0.9, rho: '-0.5'}\n")
+# a scalar where a list of numbers belongs
+VALUES_NOT_A_LIST = ENTRY.replace("values: [9.0]", "values: 9.0") + "    preset: feller-holding\n"
+PRICES_NOT_A_LIST = ENTRY + "    preset: feller-holding\n    reference: {prices: 1.0}\n"
 # a first entry that is valid, then one with more exercise dates than steps
 DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
                      + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
@@ -173,8 +176,10 @@ DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
     (ENTRY.replace("    scheme: aes\n", "") + "    preset: feller-holding\n", "scheme"),
     (NON_NUMERIC_RHO, "must be numbers: rho"),
     (DATES_ABOVE_STEPS, "date count 3 exceeds n_steps 2"),
+    (VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
+    (PRICES_NOT_A_LIST, "'reference.prices' must be a list of numbers"),
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
-        "dates-above-steps"])
+        "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list"])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -186,14 +191,15 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
     assert not reports.exists() or not any(reports.iterdir())
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["--preset", "feller-violating", "--dates", "30", "--paths", "100"],
+@pytest.mark.parametrize("argv, config, named", [
+    (["--preset", "feller-violating", "--dates", "30", "--paths", "100"], NON_NUMERIC_RHO,
      "date count 30 exceeds n_steps 12"),
-    (["--config", "{config}"], "must be numbers: rho"),
-], ids=["dates-above-steps", "non-numeric-model-field"])
-def test_price_entry_errors_are_usage_errors(argv, named, tmp_path, capsys):
+    (["--config", "{config}"], NON_NUMERIC_RHO, "must be numbers: rho"),
+    (["--config", "{config}"], VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
+], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list"])
+def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(NON_NUMERIC_RHO)
+    cfg.write_text(config)
     with pytest.raises(SystemExit) as exc:
         main(["price", *(str(cfg) if a == "{config}" else a for a in argv)])
     assert exc.value.code == 2
@@ -285,6 +291,17 @@ def test_paths_dump_double_heston_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "path,step,asset,var1,var2"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_paths_need_no_strike(capsys):
+    argv = ["paths", "--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.05",
+            "--kappa", "1", "--nu-bar", "0.04", "--gamma", "0.3", "--rho", "-0.5",
+            "--maturity", "0.25", "--paths", "2", "--steps", "2"]
+    assert main(argv) == 0
+    without_strike = capsys.readouterr().out
+    assert main([*argv, "--strike", "100"]) == 0
+    assert capsys.readouterr().out == without_strike
+    assert without_strike.splitlines()[0] == "path,step,asset,var1"
 
 
 def test_bench_smoke(capsys):

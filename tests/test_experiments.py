@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -10,8 +11,6 @@ from aesmc.experiments import (
     ExperimentSpec,
     emit_report,
     load_report_json,
-    report_from_dict,
-    report_to_dict,
     run_experiment,
     scaled,
 )
@@ -183,8 +182,7 @@ def test_scaled_divides_paths_and_caps_runs():
 
 def test_emit_csv_schema_and_missing_reference(tmp_path):
     report = run_experiment(smoke_spec())
-    path = tmp_path / "smoke.csv"
-    emit_report(report, "csv", path)
+    path, _ = emit_report(report, tmp_path / "smoke")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 4                       # header + 3 cases
@@ -197,8 +195,7 @@ def test_emit_csv_schema_and_missing_reference(tmp_path):
 def test_emit_csv_with_reference(tmp_path):
     spec = smoke_spec(reference_prices=(10.0, 3.0, 1.0), reference_source="paper")
     report = run_experiment(spec)
-    path = tmp_path / "ref.csv"
-    emit_report(report, "csv", path)
+    path, _ = emit_report(report, tmp_path / "ref")
     rows = path.read_text().strip().splitlines()[1:]
     assert all(row.split(",")[8] not in ("", None) for row in rows)
 
@@ -206,21 +203,22 @@ def test_emit_csv_with_reference(tmp_path):
 def test_json_round_trip_identity(tmp_path):
     spec = smoke_spec(reference_prices=(10.0, 3.0, 1.0), reference_source="paper")
     report = run_experiment(spec)
-    path = tmp_path / "report.json"
-    emit_report(report, "json", path)
-    loaded = load_report_json(path)
-    assert loaded == report
-    assert report_from_dict(report_to_dict(report)) == report
+    written = emit_report(report, tmp_path / "report")
+    assert written == (tmp_path / "report.csv", tmp_path / "report.json")
+    path = written[1]
+    assert load_report_json(path) == report
     case = json.loads(path.read_text())["cases"][0]
     assert case["sim_s"] > 0.0 and case["price_s"] > 0.0 and len(case["std_errors"]) == 1
 
 
-def test_json_reads_reports_without_timing_split():
-    payload = report_to_dict(run_experiment(smoke_spec()))
+def test_json_reads_reports_without_timing_split(tmp_path):
+    payload = dataclasses.asdict(run_experiment(smoke_spec()))
     for case in payload["cases"]:
         for key in ("sim_s", "price_s", "std_errors"):
             del case[key]
-    old = report_from_dict(payload)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    old = load_report_json(path)
     assert [c.sim_s for c in old.cases] == [0.0] * 3
     assert [c.std_errors for c in old.cases] == [[]] * 3
 
@@ -229,21 +227,24 @@ def test_json_contains_schedule_mapping(tmp_path):
     spec = smoke_spec(n_steps=10, schedule=3)    # 10 not divisible by 3: nearest mapping
     report = run_experiment(spec)
     assert report.schedule_indices == (3, 7, 10)
-    path = tmp_path / "map.json"
-    emit_report(report, "json", path)
+    _, path = emit_report(report, tmp_path / "map")
     assert json.loads(path.read_text())["schedule_indices"] == [3, 7, 10]
 
 
-def test_emit_rejects_unknown_format(tmp_path):
-    report = run_experiment(smoke_spec())
-    with pytest.raises(ValueError):
-        emit_report(report, "xml", tmp_path / "x.xml")
+def test_emit_list_of_reports_keeps_dotted_stem(tmp_path):
+    # a figure writes one file pair per spot, and a spot of 92.5 puts a dot in the stem
+    reports = [run_experiment(smoke_spec()), run_experiment(smoke_spec(name="other"))]
+    csv_path, json_path = emit_report(reports, tmp_path / "fig-s92.5")
+    assert (csv_path.name, json_path.name) == ("fig-s92.5.csv", "fig-s92.5.json")
+    assert [r["experiment"] for r in json.loads(json_path.read_text())] == ["smoke", "other"]
+    rows = [line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]]
+    assert rows == ["smoke"] * 3 + ["other"] * 3
 
 
 def test_emit_reports_io_failure_with_path():
     report = run_experiment(smoke_spec())
     with pytest.raises(OSError, match="no/such/dir"):
-        emit_report(report, "csv", "no/such/dir/report.csv")
+        emit_report(report, "no/such/dir/report")
 
 
 def test_reference_ladder_monotone_and_seed_consistent():

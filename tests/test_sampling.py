@@ -12,7 +12,6 @@ from aesmc.sampling import (
     sample_noncentral_chisq,
     sample_poisson,
     sample_standard_normal,
-    sample_uniform,
 )
 from conftest import ncx2_moment_se
 
@@ -54,11 +53,6 @@ def test_normal_moments():
     x = sample_standard_normal(RngStream(11, 0), size=N_BIG)
     assert abs(x.mean()) < 4e-3
     assert abs(x.var(ddof=1) - 1.0) < 6e-3
-
-
-def test_uniform_support():
-    u = sample_uniform(RngStream(5, 0), size=100_000)
-    assert u.min() >= 0.0 and u.max() < 1.0
 
 
 def test_gamma_mean_shape2_scale3():
