@@ -114,8 +114,15 @@ def number_list(key: str, value) -> tuple:
     return tuple(value)
 
 
+def integer(key: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``key`` unless it is a YAML integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def experiment_from_entry(entry: dict) -> ExperimentSpec:
-    """The spec of one config entry; a missing key is a ValueError naming it."""
+    """The spec of one config entry; a missing or mistyped key is a ValueError naming it."""
     missing = [key for key in REQUIRED_KEYS if key not in entry]
     if missing:
         raise ValueError(f"experiment entry {entry.get('name', '')!r} is missing "
@@ -124,20 +131,22 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
     if strike is None:
         raise ValueError("missing 'strike': give it in the entry or through a preset")
     reference = entry.get("reference") or {}
+    if not isinstance(reference, dict):
+        raise ValueError(f"'reference' must be a mapping, got {reference!r}")
     prices = reference.get("prices")
     return ExperimentSpec(
         name=entry["name"],
         model=model,
         scheme=entry["scheme"],
-        n_paths=int(entry["n_paths"]),
-        n_steps=int(entry["n_steps"]),
+        n_paths=integer("n_paths", entry["n_paths"]),
+        n_steps=integer("n_steps", entry["n_steps"]),
         schedule=entry["schedule"],
         vary=entry["vary"],
         values=number_list("values", entry["values"]),
         strike=strike,
         maturity=maturity,
-        runs=int(entry.get("runs", 20)),
-        base_seed=int(entry.get("base_seed", 0)),
+        runs=integer("runs", entry.get("runs", 20)),
+        base_seed=integer("base_seed", entry.get("base_seed", 0)),
         reference_prices=number_list("reference.prices", prices) if prices else None,
         reference_source=reference.get("source", ""),
     )
@@ -173,16 +182,18 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> lis
 def _self_euler_references(spec: ExperimentSpec, date_counts) -> dict[int, tuple[float, ...]]:
     """Mean price of every case of ``spec`` under each date count, on ``spec``'s grid.
 
-    Simulates the grid once per run, with seed base_seed + r, and prices every
-    (case, date count) on those paths. Returns {date_count: price per case}.
+    Simulates the grid once per run, with seed base_seed + r, storing the
+    union of the schedules' dates, and prices every (case, date count) on
+    those paths. Returns {date_count: price per case}.
     """
     grid = spec.grid()
     schedules = {d: ExerciseSchedule.nearest(grid, d) for d in date_counts}
+    columns = sorted(set().union(*(s.exercise_indices for s in schedules.values())))
     cases = spec.cases()
     prices = {d: np.empty((len(cases), spec.runs)) for d in date_counts}
     for run in range(spec.runs):
         paths = None  # never hold two path sets at once
-        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run)
+        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run, columns)
         for d, schedule in schedules.items():
             for i, (spot, strike) in enumerate(cases):
                 result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)

@@ -151,10 +151,11 @@ class ExperimentReport:
 def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> ExperimentReport:
     """Execute one experiment: simulate + price per (run, case), aggregate.
 
-    Run r simulates one spot-free path set with seed base_seed + r, and every
-    case prices it at its own spot and strike: the log-price increments do
-    not depend on the spot. A case's ``elapsed_s`` is its run's simulation
-    time plus its own pricing time, averaged over runs.
+    Run r simulates one spot-free path set with seed base_seed + r, storing
+    only the schedule's dates, and every case prices it at its own spot and
+    strike: the log-price increments do not depend on the spot. A case's
+    ``elapsed_s`` is its run's simulation time plus its own pricing time,
+    averaged over runs.
 
     ``run_prices_out``, when given, collects {case label: [price per run]}
     for callers that need per-run data (slack computations, diagnostics).
@@ -175,7 +176,8 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
     for run in range(spec.runs):
         paths = None  # never hold two path sets at once
         t0 = time.perf_counter()
-        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run)
+        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run,
+                         schedule.exercise_indices)
         sim_s[:, run] = time.perf_counter() - t0
         for i, (spot, strike) in enumerate(cases):
             t0 = time.perf_counter()

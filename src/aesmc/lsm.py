@@ -65,20 +65,34 @@ class ExerciseSchedule:
         return np.asarray(self.exercise_indices) * self.grid.dt
 
 
-def build_features(asset, strike, variances) -> np.ndarray:
+def _n_features(n_factors: int) -> int:
+    """Column count of ``build_features`` for ``n_factors`` variance factors."""
+    return 3 + 3 * n_factors + n_factors * (n_factors - 1) // 2
+
+
+def build_features(asset, strike, variances, out=None) -> np.ndarray:
     """Quadratic basis over (s, v_1..v_n) for one date's cross section (rows = paths).
 
     With s = S/K the columns are [1, s, s^2, (v_j, v_j^2)_j, (s*v_j)_j,
-    v_i*v_j (i<j)]: 6 features for Heston, 10 for double Heston.
+    v_i*v_j (i<j)]: 6 features for Heston, 10 for double Heston. The matrix
+    is C-ordered; ``out``, when given, is a C-ordered buffer of that shape
+    to write it into.
     """
     s = np.asarray(asset, dtype=np.float64) / strike
     vs = [np.asarray(v, dtype=np.float64) for v in variances]
-    cols = [np.ones(s.size), s, s * s]
+    features = np.empty((s.size, _n_features(len(vs)))) if out is None else out
+    cols = iter(features.T)
+    next(cols)[:] = 1.0
+    next(cols)[:] = s
+    np.multiply(s, s, out=next(cols))
     for v in vs:
-        cols += [v, v * v]
-    cols += [s * v for v in vs]
-    cols += [vi * vj for vi, vj in combinations(vs, 2)]
-    return np.column_stack(cols)
+        next(cols)[:] = v
+        np.multiply(v, v, out=next(cols))
+    for v in vs:
+        np.multiply(s, v, out=next(cols))
+    for vi, vj in combinations(vs, 2):
+        np.multiply(vi, vj, out=next(cols))
+    return features
 
 
 def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -86,8 +100,9 @@ def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray
 
     A well-conditioned design is solved on its p x p normal equations
     X'X c = X'y. A design with fewer rows than columns, a Gram matrix whose
-    condition number reaches 1/RCOND, or a non-finite solution falls back to
-    the minimal-norm SVD solve.
+    condition number (largest over smallest singular value, as
+    ``np.linalg.cond`` gives it) reaches 1/RCOND, or a non-finite solution
+    falls back to the minimal-norm SVD solve.
     """
     if features.shape[0] != target.shape[0]:
         raise ValueError("feature rows must match target length")
@@ -95,7 +110,10 @@ def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray
         raise ValueError("empty regression")
     if features.shape[0] >= features.shape[1]:
         gram = features.T @ features
-        if np.linalg.cond(gram) * RCOND <= 1.0:
+        singular = np.linalg.svd(gram, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            well_conditioned = singular[0] / singular[-1] * RCOND <= 1.0
+        if well_conditioned:
             coef = np.linalg.solve(gram, features.T @ target)
             if np.isfinite(coef).all():
                 return coef
@@ -113,30 +131,39 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     """Run the backward sweep; return (cashflow, exercise_index) per path.
 
     ``cashflow`` holds the undiscounted payoff collected at each path's
-    exercise date (index in ``exercise_index``). Dates with no in-the-money
-    path are skipped (continuation assumed).
+    exercise date (grid index in ``exercise_index``). Dates with no
+    in-the-money path are skipped (continuation assumed). Each date is read
+    through ``paths.column``, so the path set needs to store only the
+    schedule's dates; a date it does not store is a ValueError naming it.
+
+    The sweep allocates its feature buffer and its discount factors
+    exp(-r dt j), j = 0..M, once, and only gathers the in-the-money rows and
+    scatters the exercised ones per date.
     """
     if schedule.grid != paths.grid:
         raise ValueError("schedule grid does not match the path grid")
-    dt = paths.grid.dt
+    positions = [paths.column(k) for k in schedule.exercise_indices]
     variances = paths.variances()
+    discount = np.exp(-r * paths.grid.dt * np.arange(paths.grid.steps + 1))
+    feature_buffer = np.empty((paths.n_paths, _n_features(len(variances))))
     last = schedule.exercise_indices[-1]
-    cashflow = payoff(paths.s0 * paths.growth[:, last])
+    cashflow = payoff(paths.s0 * paths.growth[:, positions[-1]])
     exercise_index = np.full(paths.n_paths, last)
-    for k in reversed(schedule.exercise_indices[:-1]):
-        spot = paths.s0 * paths.growth[:, k]
+    for k, j in zip(reversed(schedule.exercise_indices[:-1]), reversed(positions[:-1])):
+        spot = paths.s0 * paths.growth[:, j]
         immediate = payoff(spot)
         rows = np.flatnonzero(immediate > 0.0)
         if rows.size == 0:
             continue
         immediate = immediate.take(rows)
-        target = cashflow.take(rows) * np.exp(-r * dt * (exercise_index.take(rows) - k))
+        target = cashflow.take(rows) * discount.take(exercise_index.take(rows) - k)
         features = build_features(spot.take(rows), payoff.strike,
-                                  [v[:, k].take(rows) for v in variances])
+                                  [v[:, j].take(rows) for v in variances],
+                                  out=feature_buffer[:rows.size])
         coef = regress_continuation(features, target)
-        exercised = immediate >= features @ coef
-        exercised_rows = rows[exercised]
-        cashflow[exercised_rows] = immediate[exercised]
+        exercised = np.flatnonzero(immediate >= features @ coef)
+        exercised_rows = rows.take(exercised)
+        cashflow[exercised_rows] = immediate.take(exercised)
         exercise_index[exercised_rows] = k
     return cashflow, exercise_index
 

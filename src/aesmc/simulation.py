@@ -6,6 +6,12 @@ Under both models the log-price increments do not depend on S_0, so the
 growth and variance matrices at any two spots are the same bytes, and one
 simulation serves every spot.
 
+``simulate`` stores every grid index 0..M by default. Given ``columns``, it
+stores only those grid indices (an exercise schedule's dates, say), and the
+kernels skip ``exp`` and the column writes on the other steps. The state
+still advances at every step in the same draw order, so each stored column
+is bit for bit the one a full path set holds.
+
 The almost-exact scheme (AES) advances each CIR variance factor by sampling
 its exact transition, a scaled noncentral chi-squared
 
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +78,16 @@ class TimeGrid:
 
 @dataclass
 class PathSet:
-    """Simulated trajectories, one row per path, one column per grid time.
+    """Simulated trajectories, one row per path, one column per stored grid time.
 
-    ``growth`` holds the spot-free growth factors S_t / S_0 (column 0 is 1.0)
-    and ``s0`` is the spot they scale, so ``replace(paths, s0=x)`` is the same
-    path set at spot x. Arrays are Fortran-ordered so per-date cross sections
-    (columns) are contiguous for the backward induction sweep. ``variance_2``
-    is present only for the double Heston model.
+    ``growth`` holds the spot-free growth factors S_t / S_0 (1.0 at grid
+    index 0) and ``s0`` is the spot they scale, so ``replace(paths, s0=x)`` is
+    the same path set at spot x. ``columns`` holds the grid index of each
+    stored column, increasing and ending at M; None means every index 0..M.
+    ``column(k)`` finds grid index k among them. Arrays are Fortran-ordered so
+    per-date cross sections (columns) are contiguous for the backward
+    induction sweep. ``variance_2`` is present only for the double Heston
+    model.
     """
 
     grid: TimeGrid
@@ -85,6 +95,18 @@ class PathSet:
     growth: np.ndarray
     variance_1: np.ndarray
     variance_2: np.ndarray | None = None
+    columns: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        self.columns = stored_columns(self.grid, self.columns)
+
+    def column(self, k: int) -> int:
+        """Position of grid index ``k`` among the stored columns."""
+        j = bisect_left(self.columns, k)
+        if j == len(self.columns) or self.columns[j] != k:
+            raise ValueError(f"grid index {k} is not stored: the path set holds "
+                             f"{len(self.columns)} of the grid's {self.grid.steps + 1} indices")
+        return j
 
     @property
     def asset(self) -> np.ndarray:
@@ -101,7 +123,8 @@ class PathSet:
 
     @property
     def memory_bytes(self) -> int:
-        # Allocation model: 8 bytes per float64, N*(M+1) per stored matrix.
+        # Allocation model: 8 bytes per float64, N*(M+1) per matrix, whatever
+        # the columns stored.
         return 8 * self.n_paths * (self.grid.steps + 1) * self.n_fields
 
     def variances(self) -> tuple[np.ndarray, ...]:
@@ -171,25 +194,28 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
 # ---------------------------------------------------------------------------
 # Per-block kernels, one per scheme. Each fills its block's row slice of the
 # growth matrix and of one variance matrix per factor, from one keyed stream.
+# ``store`` maps each stored grid index to its column.
 # ---------------------------------------------------------------------------
 
-def _start_block(factors, growth, variances):
-    """Set the t=0 column of each row slice; return the running state (x, v)."""
+def _start_block(factors, growth, variances, store):
+    """Set the t=0 column of each row slice if stored; return the running state (x, v)."""
     count = growth.shape[0]
-    growth[:, 0] = 1.0
-    for var, f in zip(variances, factors):
-        var[:, 0] = f.v0
+    j = store.get(0)
+    if j is not None:
+        growth[:, j] = 1.0
+        for var, f in zip(variances, factors):
+            var[:, j] = f.v0
     x = np.zeros(count)
     v = [np.full(count, f.v0) for f in factors]
     return x, v
 
 
-def _aes_block(params, grid, stream, growth, variances):
+def _aes_block(params, grid, stream, growth, variances, store):
     count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
-    x, v = _start_block(factors, growth, variances)
+    x, v = _start_block(factors, growth, variances, store)
     for i in range(grid.steps):
         v_next = [
             cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
@@ -206,17 +232,19 @@ def _aes_block(params, grid, stream, growth, variances):
         for c, vj, zj in zip(c3, v, z):
             x = x + np.sqrt(c * vj) * zj
         v = v_next
-        for var, vj in zip(variances, v):
-            var[:, i + 1] = vj
-        growth[:, i + 1] = np.exp(x)
+        j = store.get(i + 1)
+        if j is not None:
+            for var, vj in zip(variances, v):
+                var[:, j] = vj
+            growth[:, j] = np.exp(x)
 
 
-def _euler_block(params, grid, stream, growth, variances):
+def _euler_block(params, grid, stream, growth, variances, store):
     count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
-    x, v = _start_block(factors, growth, variances)
+    x, v = _start_block(factors, growth, variances, store)
     for i in range(grid.steps):
         z_v = [sample_standard_normal(stream, size=count) for _ in factors]
         z_x = [sample_standard_normal(stream, size=count) for _ in factors]
@@ -228,29 +256,57 @@ def _euler_block(params, grid, stream, growth, variances):
         for f, o, vj, zvj, zxj in zip(factors, ortho, v, z_v, z_x):
             x = x + np.sqrt(vj * dt) * (f.rho * zvj + o * zxj)
         v = v_next
-        for var, vj in zip(variances, v):
-            var[:, i + 1] = vj
-        growth[:, i + 1] = np.exp(x)
+        j = store.get(i + 1)
+        if j is not None:
+            for var, vj in zip(variances, v):
+                var[:, j] = vj
+            growth[:, j] = np.exp(x)
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
 
 
-def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
-    """Heston or double Heston paths under ``scheme`` ('aes' or 'euler')."""
+def stored_columns(grid: TimeGrid, columns=None) -> tuple[int, ...]:
+    """The grid indices to store: every index 0..M when ``columns`` is None.
+
+    Given indices must lie in 0..M, be strictly increasing and end at the
+    maturity index M; anything else is a ValueError that names the index.
+    """
+    if columns is None:
+        return tuple(range(grid.steps + 1))
+    idx = tuple(int(k) for k in columns)
+    outside = [k for k in idx if not 0 <= k <= grid.steps]
+    if outside:
+        raise ValueError(f"column index {outside[0]} is outside the grid's 0..{grid.steps}")
+    for a, b in zip(idx, idx[1:]):
+        if b <= a:
+            raise ValueError(f"column indices must be strictly increasing: {b} follows {a}")
+    if not idx or idx[-1] != grid.steps:
+        raise ValueError(f"columns must include the maturity index {grid.steps}")
+    return idx
+
+
+def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, columns=None) -> PathSet:
+    """Heston or double Heston paths under ``scheme`` ('aes' or 'euler').
+
+    ``columns`` names the grid indices to store (see ``stored_columns``);
+    the default stores all M+1.
+    """
     if scheme not in ("aes", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'aes' or 'euler'")
     validate(params)
     if int(n_paths) < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = int(n_paths)
-    growth = np.empty((n_paths, grid.steps + 1), order="F")
-    variances = tuple(np.empty((n_paths, grid.steps + 1), order="F") for _ in params.factors())
+    columns = stored_columns(grid, columns)
+    store = {k: j for j, k in enumerate(columns)}
+    growth = np.empty((n_paths, len(columns)), order="F")
+    variances = tuple(np.empty((n_paths, len(columns)), order="F") for _ in params.factors())
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         rows = slice(start, start + BLOCK_SIZE)
         _BLOCK_KERNELS[scheme](params, grid, RngStream(seed, block_id),
-                               growth[rows], tuple(var[rows] for var in variances))
-    return PathSet(grid, params.s0, growth, *variances)
+                               growth[rows], tuple(var[rows] for var in variances), store)
+    return PathSet(grid, params.s0, growth, *variances, columns=columns)
 
 
 def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
@@ -265,7 +321,10 @@ def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
 
 
 def dump_paths_csv(paths: PathSet, destination):
-    """Write paths as CSV rows ``path,step,asset,var1[,var2]``."""
+    """Write paths as CSV rows ``path,step,asset,var1[,var2]``, one per stored column.
+
+    ``step`` is the grid index of the column.
+    """
     two_factor = paths.variance_2 is not None
     header = ["path", "step", "asset", "var1"] + (["var2"] if two_factor else [])
 
@@ -275,10 +334,10 @@ def dump_paths_csv(paths: PathSet, destination):
         writer = csv.writer(fh)
         writer.writerow(header)
         for p in range(paths.n_paths):
-            for k in range(paths.grid.steps + 1):
-                row = [p, k, repr(asset[p, k]), repr(paths.variance_1[p, k])]
+            for j, k in enumerate(paths.columns):
+                row = [p, k, repr(asset[p, j]), repr(paths.variance_1[p, j])]
                 if two_factor:
-                    row.append(repr(paths.variance_2[p, k]))
+                    row.append(repr(paths.variance_2[p, j]))
                 writer.writerow(row)
 
     if hasattr(destination, "write"):

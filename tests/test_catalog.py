@@ -110,14 +110,31 @@ def test_run_figure_shares_paths_across_spots(fig_id, calls, tmp_path, monkeypat
     # reference per run and maturity, whatever the number of spots
     simulated = []
 
-    def counting(scheme, model, grid, n_paths, seed):
-        simulated.append(seed)
-        return simulate(scheme, model, grid, n_paths, seed)
+    def counting(*args, **kwargs):
+        simulated.append(args)
+        return simulate(*args, **kwargs)
 
     monkeypatch.setattr(catalog, "simulate", counting)
     monkeypatch.setattr(experiments, "simulate", counting)
     run_figure(fig_id, scale=10_000, runs=1, out_dir=tmp_path)
     assert len(simulated) == calls
+
+
+def test_run_figure_stores_only_exercise_dates(tmp_path, monkeypatch):
+    # the 750-step reference asks for the union of its 40- and 60-date
+    # schedules, 80 of its 751 grid indices; each AES experiment for its dates
+    stored = {}
+
+    def recording(scheme, model, grid, n_paths, seed, columns=None):
+        stored[grid.steps] = tuple(columns or ())
+        return simulate(scheme, model, grid, n_paths, seed, columns)
+
+    monkeypatch.setattr(catalog, "simulate", recording)
+    monkeypatch.setattr(experiments, "simulate", recording)
+    run_figure("fig1", scale=10_000, runs=1, out_dir=tmp_path)
+    assert {steps: len(columns) for steps, columns in stored.items()} == {750: 80, 40: 40, 60: 60}
+    assert stored[40] == tuple(range(1, 41)) and stored[60] == tuple(range(1, 61))
+    assert stored[750][-1] == 750 and list(stored[750]) == sorted(set(stored[750]))
 
 
 def test_run_figure_fig2_one_csv_per_spot(tmp_path):

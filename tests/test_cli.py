@@ -163,6 +163,12 @@ NON_NUMERIC_RHO = (ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: {ki
 # a scalar where a list of numbers belongs
 VALUES_NOT_A_LIST = ENTRY.replace("values: [9.0]", "values: 9.0") + "    preset: feller-holding\n"
 PRICES_NOT_A_LIST = ENTRY + "    preset: feller-holding\n    reference: {prices: 1.0}\n"
+REFERENCE_NOT_A_MAPPING = ENTRY + "    preset: feller-holding\n    reference: 1.0\n"
+# a count or seed that is not a YAML integer
+RUNS_NOT_AN_INTEGER = ENTRY.replace("runs: 1", "runs: [1]") + "    preset: feller-holding\n"
+PATHS_NOT_AN_INTEGER = ENTRY.replace("n_paths: 100", "n_paths: 100.5") + "    preset: feller-holding\n"
+STEPS_NOT_AN_INTEGER = ENTRY.replace("n_steps: 2", "n_steps: '2'") + "    preset: feller-holding\n"
+SEED_NOT_AN_INTEGER = ENTRY + "    preset: feller-holding\n    base_seed: [0]\n"
 # a first entry that is valid, then one with more exercise dates than steps
 DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
                      + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
@@ -178,8 +184,15 @@ DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
     (DATES_ABOVE_STEPS, "date count 3 exceeds n_steps 2"),
     (VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
     (PRICES_NOT_A_LIST, "'reference.prices' must be a list of numbers"),
+    (REFERENCE_NOT_A_MAPPING, "'reference' must be a mapping"),
+    (RUNS_NOT_AN_INTEGER, "'runs' must be an integer"),
+    (PATHS_NOT_AN_INTEGER, "'n_paths' must be an integer"),
+    (STEPS_NOT_AN_INTEGER, "'n_steps' must be an integer"),
+    (SEED_NOT_AN_INTEGER, "'base_seed' must be an integer"),
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
-        "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list"])
+        "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
+        "reference-not-a-mapping", "runs-not-an-integer", "n-paths-not-an-integer",
+        "n-steps-not-an-integer", "base-seed-not-an-integer"])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)

@@ -80,6 +80,16 @@ def test_build_features_double_heston_zero_variance():
     assert np.array_equal(row, [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]])
 
 
+def test_build_features_writes_into_buffer():
+    rng = np.random.default_rng(4)
+    s, v1, v2 = rng.uniform(50.0, 150.0, 9), rng.uniform(0.0, 0.1, 9), rng.uniform(0.0, 0.1, 9)
+    buffer = np.full((12, 10), np.nan)
+    out = build_features(s, 61.9, [v1, v2], out=buffer[:9])
+    assert np.shares_memory(out, buffer) and out.flags.c_contiguous
+    assert out.tobytes() == build_features(s, 61.9, [v1, v2]).tobytes()
+    assert np.isnan(buffer[9:]).all()
+
+
 def test_regress_intercept_only_is_mean():
     coef = regress_continuation(np.ones((2, 1)), np.array([2.0, 4.0]))
     assert coef == pytest.approx([3.0])
@@ -210,6 +220,27 @@ def test_schedule_grid_mismatch_rejected(eq5_paths):
     other = ExerciseSchedule.every_step(TimeGrid(0.25, 10))
     with pytest.raises(ValueError, match="grid"):
         lsm_price(eq5_paths, PutPayoff(100.0), other, EQ5.r)
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("params, strike", [(EQ5, 100.0), (ZHANG, 61.9)], ids=["heston", "double-heston"])
+def test_sweep_on_stored_dates_equals_full_set(scheme, params, strike):
+    grid = TimeGrid(0.25, 12)
+    schedule = ExerciseSchedule.nearest(grid, 4)
+    full = simulate(scheme, params, grid, 5000, seed=557)
+    part = simulate(scheme, params, grid, 5000, seed=557, columns=schedule.exercise_indices)
+    got = backward_induction(part, PutPayoff(strike), schedule, params.r)
+    want = backward_induction(full, PutPayoff(strike), schedule, params.r)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert (got[1] < grid.steps).any()   # some paths exercise early
+
+
+def test_sweep_refuses_a_date_not_stored():
+    grid = TimeGrid(0.25, 12)
+    paths = simulate("aes", EQ5, grid, 200, seed=558, columns=(3, 6, 9, 12))
+    with pytest.raises(ValueError, match="grid index 4 is not stored"):
+        lsm_price(paths, PutPayoff(100.0), ExerciseSchedule(grid, (4, 12)), EQ5.r)
 
 
 def test_double_heston_pricing_and_basis_toggle():

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -234,6 +235,51 @@ def test_memory_proxy_matches_allocation_model():
     assert dh.memory_bytes == 8 * 777 * 13 * 3
 
 
+# ---------------------------------------------------------------------------
+# stored columns
+# ---------------------------------------------------------------------------
+
+# two blocks, the second one partial
+TWO_BLOCK_PATHS = BLOCK_SIZE + 37
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("params", [EQ5, ZHANG], ids=["heston", "double-heston"])
+def test_stored_columns_equal_full_set_columns(scheme, params):
+    grid = TimeGrid(0.25, 5)
+    full = simulate(scheme, params, grid, TWO_BLOCK_PATHS, seed=17)
+    assert full.columns == (0, 1, 2, 3, 4, 5)
+    for columns in [(0, 2, 5), (1, 4, 5), (5,)]:
+        part = simulate(scheme, params, grid, TWO_BLOCK_PATHS, seed=17, columns=columns)
+        assert part.columns == columns
+        for x, y in zip((part.growth, *part.variances()), (full.growth, *full.variances())):
+            assert x.shape == (TWO_BLOCK_PATHS, len(columns)) and x.flags.f_contiguous
+            assert x.tobytes(order="F") == y[:, list(columns)].tobytes(order="F")
+        # the allocation model counts every grid index, whatever is stored
+        assert part.memory_bytes == full.memory_bytes
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((3, 2, 6), "strictly increasing: 2 follows 3"),
+    ((2, 2, 6), "strictly increasing: 2 follows 2"),
+    ((-1, 6), "column index -1 is outside the grid's 0..6"),
+    ((2, 7), "column index 7 is outside the grid's 0..6"),
+    ((1, 2), "maturity index 6"),
+    ((), "maturity index 6"),
+], ids=["unsorted", "duplicate", "negative", "past-maturity", "no-maturity", "empty"])
+def test_simulate_refuses_bad_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        simulate("aes", EQ5, TimeGrid(0.25, 6), 10, seed=1, columns=columns)
+
+
+def test_column_lookup_names_missing_index():
+    paths = simulate("euler", EQ5, TimeGrid(0.25, 6), 10, seed=1, columns=(2, 4, 6))
+    assert [paths.column(k) for k in (2, 4, 6)] == [0, 1, 2]
+    for k in (0, 3, 7):
+        with pytest.raises(ValueError, match=f"grid index {k} is not stored"):
+            paths.column(k)
+
+
 def test_double_heston_degenerate_factor_matches_heston():
     # factor 2 squeezed to ~zero variance: prices collapse to one-factor Heston
     from aesmc.lsm import ExerciseSchedule, lsm_price
@@ -272,6 +318,16 @@ def test_dump_paths_csv_heston(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,step,asset,var1"
     assert len(lines) == 1 + 3 * 5
+
+
+def test_dump_paths_csv_labels_stored_grid_indices():
+    grid = TimeGrid(0.25, 4)
+    full, part = io.StringIO(), io.StringIO()
+    dump_paths_csv(simulate("euler", ZHANG, grid, 2, seed=8), full)
+    dump_paths_csv(simulate("euler", ZHANG, grid, 2, seed=8, columns=(1, 3, 4)), part)
+    rows = full.getvalue().splitlines()
+    kept = [row for row in rows[1:] if row.split(",")[1] in ("1", "3", "4")]
+    assert part.getvalue().splitlines() == [rows[0], *kept]
 
 
 def test_dump_paths_csv_double_heston(tmp_path):
