@@ -8,8 +8,8 @@ writes one CSV and one JSON report per experiment.
 figures the same way: each (date count, scheme) is one experiment over all
 of the figure's spots, so every spot of a run prices the same paths. When
 the config asks for ``source: self-euler``, the reference prices come from a
-high-resolution Euler grid simulated once per (run, maturity), and go into
-each experiment's ``reference_prices``.
+high-resolution Euler grid priced through ``price_runs`` once per maturity,
+and go into each experiment's ``reference_prices``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .experiments import (
@@ -26,12 +25,12 @@ from .experiments import (
     ExperimentSpec,
     _csv_cell,
     emit_report,
+    price_runs,
     run_experiment,
     scaled,
 )
-from .lsm import ExerciseSchedule, lsm_price
-from .models import DoubleHestonParams, HestonParams, PutPayoff, preset
-from .simulation import simulate
+from .lsm import ExerciseSchedule
+from .models import DoubleHestonParams, HestonParams, preset
 
 TABLE_IDS = ("1", "2", "3", "4", "5", "6")
 FIGURE_IDS = ("fig1", "fig2", "fig3")
@@ -179,28 +178,6 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> lis
     return written
 
 
-def _self_euler_references(spec: ExperimentSpec, date_counts) -> dict[int, tuple[float, ...]]:
-    """Mean price of every case of ``spec`` under each date count, on ``spec``'s grid.
-
-    Simulates the grid once per run, with seed base_seed + r, storing the
-    union of the schedules' dates, and prices every (case, date count) on
-    those paths. Returns {date_count: price per case}.
-    """
-    grid = spec.grid()
-    schedules = {d: ExerciseSchedule.nearest(grid, d) for d in date_counts}
-    columns = sorted(set().union(*(s.exercise_indices for s in schedules.values())))
-    cases = spec.cases()
-    prices = {d: np.empty((len(cases), spec.runs)) for d in date_counts}
-    for run in range(spec.runs):
-        paths = None  # never hold two path sets at once
-        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run, columns)
-        for d, schedule in schedules.items():
-            for i, (spot, strike) in enumerate(cases):
-                result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)
-                prices[d][i, run] = result.price
-    return {d: tuple(float(row.mean()) for row in p) for d, p in prices.items()}
-
-
 def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
     """Produce the data files behind one figure: a CSV and a JSON file per value.
 
@@ -209,8 +186,8 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     period, else the preset's. ``euler2x`` is Euler at twice the date count's
     steps, and adds a ``-diff.csv`` per value. With ``reference.source:
     self-euler`` the reference prices come from an Euler grid of
-    ``reference.n_steps`` steps (750 by default), simulated once per (run,
-    maturity) with seed base_seed + 10_000 + r.
+    ``reference.n_steps`` steps (750 by default), priced by one
+    ``price_runs`` per maturity with base seed base_seed + 10_000.
     """
     payload = load_config(fig_id)
     if payload.get("kind") != "figure":
@@ -232,9 +209,10 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     ref_prices: dict[int, tuple[float, ...]] = {}
     if ref_cfg.get("source") == "self-euler":
         for maturity in dict.fromkeys(maturities.values()):
-            ref_prices.update(_self_euler_references(
-                replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000),
-                [d for d, m in maturities.items() if m == maturity]))
+            spec = replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000)
+            counts = [d for d, m in maturities.items() if m == maturity]
+            prices = price_runs(spec, [ExerciseSchedule.nearest(spec.grid(), d) for d in counts])[0]
+            ref_prices.update({d: tuple(float(row.mean()) for row in p) for d, p in zip(counts, prices)})
 
     reports: dict[tuple[int, str], ExperimentReport] = {}
     for dates, maturity in maturities.items():

@@ -2,12 +2,12 @@
 
 An ``ExperimentSpec`` describes one pricing experiment (model, scheme, grid,
 schedule, the list of spots or strikes, run count, seeds, optional reference
-prices). ``run_experiment`` executes it: for each run r the spot-free paths
-are simulated once with seed = base_seed + r, and every case, whether it
-varies the spot or the strike, is priced on them; per-case aggregates (mean,
-across-run std, mean wall time, memory proxy, relative error) go into
-an ``ExperimentReport``. ``emit_report`` writes reports as CSV and JSON with
-a stable row order and schema.
+prices). ``run_experiment`` executes it through ``price_runs``, the one run
+loop: run r simulates spot-free paths once with seed = base_seed + r, and
+every case is priced on them; per-case aggregates (mean, across-run std,
+mean wall time, memory proxy, relative error) go into an
+``ExperimentReport``. ``emit_report`` writes reports as CSV and JSON with a
+stable row order and schema.
 """
 from __future__ import annotations
 
@@ -148,20 +148,42 @@ class ExperimentReport:
         return [c.run_std / np.sqrt(self.runs) for c in self.cases]
 
 
+def price_runs(spec: ExperimentSpec, schedules):
+    """Price every (schedule, case) of ``spec`` on one path set per run.
+
+    Run r simulates with seed base_seed + r, storing the union of the
+    schedules' dates, and each case prices the spot-free paths at its own
+    spot and strike. Returns prices, SEs and pricing times shaped (schedule,
+    case, run), the simulation time of each run, and the memory model.
+    """
+    grid = spec.grid()
+    columns = sorted(set().union(*(s.exercise_indices for s in schedules)))
+    cases = spec.cases()
+    prices, std_errors, price_s = (np.empty((len(schedules), len(cases), spec.runs)) for _ in range(3))
+    sim_s = np.empty(spec.runs)
+    for run in range(spec.runs):
+        paths = None  # never hold two path sets at once
+        t0 = time.perf_counter()
+        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run, columns)
+        sim_s[run] = time.perf_counter() - t0
+        for k, schedule in enumerate(schedules):
+            for i, (spot, strike) in enumerate(cases):
+                t0 = time.perf_counter()
+                result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)
+                price_s[k, i, run] = time.perf_counter() - t0
+                prices[k, i, run] = result.price
+                std_errors[k, i, run] = result.std_error
+    return prices, std_errors, sim_s, price_s, paths.memory_bytes
+
+
 def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> ExperimentReport:
-    """Execute one experiment: simulate + price per (run, case), aggregate.
+    """Execute one experiment: ``price_runs`` on its one schedule, then aggregate.
 
-    Run r simulates one spot-free path set with seed base_seed + r, storing
-    only the schedule's dates, and every case prices it at its own spot and
-    strike: the log-price increments do not depend on the spot. A case's
-    ``elapsed_s`` is its run's simulation time plus its own pricing time,
-    averaged over runs.
-
-    ``run_prices_out``, when given, collects {case label: [price per run]}
+    A case's ``elapsed_s`` is its run's simulation time plus its own pricing
+    time, averaged over runs. ``run_prices_out``, when given, collects {case label: [price per run]}
     for callers that need per-run data (slack computations, diagnostics).
     """
     schedule = spec.resolve_schedule()
-    grid = spec.grid()
     report = ExperimentReport(
         experiment=spec.name,
         scheme=spec.scheme,
@@ -171,30 +193,16 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
         schedule_indices=schedule.exercise_indices,
         reference_source=spec.reference_source if spec.reference_prices is not None else "",
     )
-    cases = spec.cases()
-    prices, std_errors, sim_s, price_s = (np.empty((len(cases), spec.runs)) for _ in range(4))
-    for run in range(spec.runs):
-        paths = None  # never hold two path sets at once
-        t0 = time.perf_counter()
-        paths = simulate(spec.scheme, spec.model, grid, spec.n_paths, spec.base_seed + run,
-                         schedule.exercise_indices)
-        sim_s[:, run] = time.perf_counter() - t0
-        for i, (spot, strike) in enumerate(cases):
-            t0 = time.perf_counter()
-            result = lsm_price(replace(paths, s0=spot), PutPayoff(strike), schedule, spec.model.r)
-            price_s[i, run] = time.perf_counter() - t0
-            prices[i, run] = result.price
-            std_errors[i, run] = result.std_error
-    memory_bytes = paths.memory_bytes
+    (prices,), (std_errors,), sim_s, (price_s,), memory_bytes = price_runs(spec, [schedule])
     for i, value in enumerate(spec.values):
         case = CaseResult(
             case=spec.case_label(value),
             value=value,
             mean_price=float(prices[i].mean()),
             run_std=float(prices[i].std(ddof=1)) if spec.runs > 1 else 0.0,
-            elapsed_s=float((sim_s[i] + price_s[i]).mean()),
+            elapsed_s=float((sim_s + price_s[i]).mean()),
             memory_bytes=memory_bytes,
-            sim_s=float(sim_s[i].mean()),
+            sim_s=float(sim_s.mean()),
             price_s=float(price_s[i].mean()),
             std_errors=std_errors[i].tolist(),
         )

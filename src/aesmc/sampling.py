@@ -3,7 +3,8 @@
 Streams are counter-based (Philox) and fully determined by ``(seed, stream_id)``,
 so a stream for path block *b* can be created at any point, in any order, and
 always yields the same draws. All samplers accept an optional ``size`` and are
-vectorized; scalar calls return plain Python floats/ints.
+vectorized; each returns what its NumPy generator call returns (an array, or a
+Python or NumPy scalar for a scalar call).
 
 The noncentral chi-squared sampler is the exactness workhorse of the CIR
 transition. It uses the Poisson mixture representation
@@ -16,7 +17,7 @@ uniform power correction rather than a small-shape rejection sampler.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -55,34 +56,9 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass(frozen=True)
-class NoncentralChiSqParams:
-    """Degrees of freedom and noncentrality of a noncentral chi-squared law.
-
-    ``noncentrality`` may be an array (one value per path); ``dof`` is
-    typically scalar but arrays broadcast.
-    """
-
-    dof: float | np.ndarray
-    noncentrality: float | np.ndarray
-
-    def __post_init__(self):
-        dof = np.asarray(self.dof, dtype=np.float64)
-        lam = np.asarray(self.noncentrality, dtype=np.float64)
-        if not np.all(np.isfinite(dof)) or np.any(dof <= 0.0):
-            raise ValueError("dof must be finite and > 0")
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
-            raise ValueError("noncentrality must be finite and >= 0")
-
-
-def _as_scalar_or_array(x):
-    x = np.asarray(x)
-    return x.item() if x.ndim == 0 else x
-
-
 def sample_standard_normal(stream: RngStream, size=None):
     """Standard normal draw(s)."""
-    return _as_scalar_or_array(stream.generator.standard_normal(size=size))
+    return stream.generator.standard_normal(size=size)
 
 
 def sample_gamma(stream: RngStream, shape, scale, size=None):
@@ -103,13 +79,13 @@ def sample_gamma(stream: RngStream, shape, scale, size=None):
     gen = stream.generator
     small = shape_arr < 1.0
     if not np.any(small):
-        return _as_scalar_or_array(gen.standard_gamma(shape_arr, size=size) * scale_arr)
+        return gen.standard_gamma(shape_arr, size=size) * scale_arr
     boosted = np.where(small, shape_arr + 1.0, shape_arr)
     draw = gen.standard_gamma(boosted, size=size)
     u = gen.random(size=np.shape(draw) if np.ndim(draw) else None)
     correction = np.exp(np.log1p(-u) / np.where(small, shape_arr, 1.0))
     draw = np.where(small, draw * correction, draw)
-    return _as_scalar_or_array(draw * scale_arr)
+    return draw * scale_arr
 
 
 def sample_poisson(stream: RngStream, rate, size=None):
@@ -122,18 +98,19 @@ def sample_poisson(stream: RngStream, rate, size=None):
             f"poisson rate above {MAX_POISSON_RATE:.0e}: noncentrality blew up, "
             "check the time step scaling"
         )
-    out = stream.generator.poisson(rate_arr, size=size)
-    return _as_scalar_or_array(out)
+    return stream.generator.poisson(rate_arr, size=size)
 
 
-def sample_noncentral_chisq(stream: RngStream, params: NoncentralChiSqParams, size=None):
+def sample_noncentral_chisq(stream: RngStream, dof: float, noncentrality, size=None):
     """Noncentral chi-squared draw(s) via the Poisson mixture of gammas.
 
-    Always >= 0; exact for all dof > 0. Consumption order per call:
-    one Poisson batch, then one gamma batch (plus its uniform correction
-    batch when any mixed shape falls below 1).
+    ``dof`` is one finite number > 0; ``noncentrality`` is a number or one
+    value per path, checked by ``sample_poisson``. Always >= 0; exact for all
+    dof > 0. Consumption order per call: one Poisson batch, then one gamma
+    batch (plus its uniform correction batch when any mixed shape falls
+    below 1).
     """
-    lam_half = np.asarray(params.noncentrality, dtype=np.float64) / 2.0
-    mix = sample_poisson(stream, lam_half, size=size)
-    mixed_shape = (np.asarray(params.dof, dtype=np.float64) + 2.0 * np.asarray(mix)) / 2.0
-    return sample_gamma(stream, mixed_shape, 2.0)
+    if not (math.isfinite(dof) and dof > 0.0):
+        raise ValueError(f"dof must be finite and > 0, got {dof}")
+    mix = sample_poisson(stream, np.asarray(noncentrality, dtype=np.float64) / 2.0, size=size)
+    return sample_gamma(stream, (dof + 2.0 * np.asarray(mix)) / 2.0, 2.0)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import validate
-from .sampling import NoncentralChiSqParams, RngStream, sample_noncentral_chisq, sample_standard_normal
+from .sampling import RngStream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
 
@@ -137,8 +137,7 @@ class PathSet:
 class CirTransition:
     """Constants of the exact CIR transition over one step.
 
-    ``kappa_bar`` is per-path (array) when built from a vector of current
-    variances.
+    ``kappa_bar`` is per-path when built from an array of current variances.
     """
 
     c_bar: float
@@ -152,19 +151,14 @@ def cir_transition_params(kappa, gamma, nu_bar, dt, v_current) -> CirTransition:
         raise ValueError("dt must be positive")
     decay = math.exp(-kappa * dt)
     c_bar = gamma**2 / (4.0 * kappa) * (1.0 - decay)
-    kappa_bar = 4.0 * kappa * decay * np.asarray(v_current, dtype=np.float64) / (gamma**2 * (1.0 - decay))
+    kappa_bar = 4.0 * kappa * decay * v_current / (gamma**2 * (1.0 - decay))
     dof = 4.0 * kappa * nu_bar / gamma**2
-    if kappa_bar.ndim == 0:
-        kappa_bar = kappa_bar.item()
     return CirTransition(c_bar=c_bar, kappa_bar=kappa_bar, dof=dof)
 
 
 def cir_exact_step(stream: RngStream, transition: CirTransition):
     """One exact CIR step: scaled noncentral chi-squared draw(s), always >= 0."""
-    draw = sample_noncentral_chisq(
-        stream, NoncentralChiSqParams(transition.dof, transition.kappa_bar)
-    )
-    return transition.c_bar * draw
+    return transition.c_bar * sample_noncentral_chisq(stream, transition.dof, transition.kappa_bar)
 
 
 def log_price_constants(r: float, factors, dt: float):

@@ -17,7 +17,7 @@ from aesmc.catalog import table_specs
 from aesmc.experiments import run_experiment, scaled
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
-from aesmc.sampling import NoncentralChiSqParams, RngStream, sample_noncentral_chisq
+from aesmc.sampling import RngStream, sample_noncentral_chisq
 from aesmc.simulation import (
     BLOCK_SIZE,
     TimeGrid,
@@ -223,7 +223,7 @@ def test_criterion_6_sampler_moments(acceptance):
     for i, dof in enumerate((0.5, 1.0525, 3.9506)):
         for j, lam in enumerate((0.0, 2.5, 50.0)):
             draws = sample_noncentral_chisq(
-                RngStream(9100 + 10 * i + j, 0), NoncentralChiSqParams(dof, lam), size=n
+                RngStream(9100 + 10 * i + j, 0), dof, lam, size=n
             )
             se_mean, se_var = ncx2_moment_se(dof, lam, n)
             mean_dev = abs(draws.mean() - (dof + lam)) / (3 * se_mean)
@@ -232,7 +232,7 @@ def test_criterion_6_sampler_moments(acceptance):
             ok &= mean_dev <= 1.0 and var_dev <= 1.0
     ks_ps = []
     for i, dof in enumerate((0.5, 1.0525, 3.9506)):
-        x = sample_noncentral_chisq(RngStream(9200 + i, 0), NoncentralChiSqParams(dof, 0.0), size=100_000)
+        x = sample_noncentral_chisq(RngStream(9200 + i, 0), dof, 0.0, size=100_000)
         ks_ps.append(stats.kstest(x, "gamma", args=(dof / 2.0, 0.0, 2.0)).pvalue)
     ok &= min(ks_ps) > 0.01
     acceptance("criterion 6: noncentral chi-squared moment identities and KS",

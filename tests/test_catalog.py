@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from aesmc import catalog, experiments
+from aesmc import experiments
 from aesmc.catalog import (
     available_ids,
     experiment_from_entry,
@@ -114,7 +114,6 @@ def test_run_figure_shares_paths_across_spots(fig_id, calls, tmp_path, monkeypat
         simulated.append(args)
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(catalog, "simulate", counting)
     monkeypatch.setattr(experiments, "simulate", counting)
     run_figure(fig_id, scale=10_000, runs=1, out_dir=tmp_path)
     assert len(simulated) == calls
@@ -129,7 +128,6 @@ def test_run_figure_stores_only_exercise_dates(tmp_path, monkeypatch):
         stored[grid.steps] = tuple(columns or ())
         return simulate(scheme, model, grid, n_paths, seed, columns)
 
-    monkeypatch.setattr(catalog, "simulate", recording)
     monkeypatch.setattr(experiments, "simulate", recording)
     run_figure("fig1", scale=10_000, runs=1, out_dir=tmp_path)
     assert {steps: len(columns) for steps, columns in stored.items()} == {750: 80, 40: 40, 60: 60}

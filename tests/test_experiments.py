@@ -14,7 +14,7 @@ from aesmc.experiments import (
     run_experiment,
     scaled,
 )
-from aesmc.lsm import lsm_price
+from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
 from aesmc.simulation import simulate
 
@@ -158,6 +158,24 @@ def test_spots_share_one_path_set_per_run(monkeypatch):
             alone = lsm_price(paths, PutPayoff(EQ5.strike), schedule, model.r)
             assert per_run[case.case][run] == alone.price
             assert case.std_errors[run] == alone.std_error
+
+
+def test_price_runs_prices_each_schedule_as_its_own_experiment(monkeypatch):
+    # fig1's 40 and 60 dates on a 750-step grid: each run's one path set
+    # stores the union of both schedules' dates (80 columns), an experiment
+    # with one schedule only its own, and the per-run prices agree bit for bit
+    spec = smoke_spec(scheme="euler", n_steps=750, n_paths=300, runs=2)
+    schedules = [ExerciseSchedule.nearest(spec.grid(), d) for d in (40, 60)]
+    calls = _count_simulate(monkeypatch)
+    prices, std_errors, sim_s, price_s, memory_bytes = experiments.price_runs(spec, schedules)
+    assert prices.shape == std_errors.shape == price_s.shape == (2, 3, 2)
+    assert sim_s.shape == (2,) and memory_bytes == 8 * 300 * 751 * 2
+    for k, dates in enumerate((40, 60)):
+        per_run: dict = {}
+        report = run_experiment(replace(spec, schedule=dates), run_prices_out=per_run)
+        assert [per_run[case.case] for case in report.cases] == prices[k].tolist()
+        assert [case.std_errors for case in report.cases] == std_errors[k].tolist()
+    assert [len(args[5]) for args in calls] == [80, 80, 40, 40, 60, 60]
 
 
 def test_case_timings_and_run_std_errors():

@@ -6,7 +6,6 @@ from scipy import stats
 
 from aesmc.sampling import (
     MAX_POISSON_RATE,
-    NoncentralChiSqParams,
     RngStream,
     sample_gamma,
     sample_noncentral_chisq,
@@ -122,50 +121,50 @@ def test_poisson_rejects_overflow_rate():
 
 def test_ncchisq_params_validation():
     with pytest.raises(ValueError):
-        NoncentralChiSqParams(0.0, 1.0)
+        sample_noncentral_chisq(RngStream(0), 0.0, 1.0)
     with pytest.raises(ValueError):
-        NoncentralChiSqParams(1.0, -0.1)
+        sample_noncentral_chisq(RngStream(0), 1.0, -0.1)
     with pytest.raises(ValueError):
-        NoncentralChiSqParams(np.nan, 0.0)
-    NoncentralChiSqParams(0.5, 0.0)
+        sample_noncentral_chisq(RngStream(0), np.nan, 0.0)
+    sample_noncentral_chisq(RngStream(0), 0.5, 0.0)
 
 
 def test_ncchisq_lambda_overflow_guard():
     with pytest.raises(ValueError):
-        sample_noncentral_chisq(RngStream(0), NoncentralChiSqParams(1.0, 3e9))
+        sample_noncentral_chisq(RngStream(0), 1.0, 3e9)
 
 
 def test_ncchisq_central_reduction_mean():
-    x = sample_noncentral_chisq(RngStream(41, 0), NoncentralChiSqParams(3.9506, 0.0), size=N_BIG)
+    x = sample_noncentral_chisq(RngStream(41, 0), 3.9506, 0.0, size=N_BIG)
     assert abs(x.mean() - 3.9506) < 0.01
 
 
 def test_ncchisq_mean_identity():
-    x = sample_noncentral_chisq(RngStream(42, 0), NoncentralChiSqParams(1.0525, 2.5), size=N_BIG)
+    x = sample_noncentral_chisq(RngStream(42, 0), 1.0525, 2.5, size=N_BIG)
     assert abs(x.mean() - 3.5525) < 0.01
 
 
 def test_ncchisq_variance_identity():
-    x = sample_noncentral_chisq(RngStream(43, 0), NoncentralChiSqParams(1.0525, 2.5), size=N_BIG)
+    x = sample_noncentral_chisq(RngStream(43, 0), 1.0525, 2.5, size=N_BIG)
     _, se_var = ncx2_moment_se(1.0525, 2.5, N_BIG)
     assert abs(x.var(ddof=1) - 12.105) < 3 * se_var
 
 
 def test_ncchisq_nonnegative_support():
-    x = sample_noncentral_chisq(RngStream(44, 0), NoncentralChiSqParams(1.0525, 2.5), size=N_BIG)
+    x = sample_noncentral_chisq(RngStream(44, 0), 1.0525, 2.5, size=N_BIG)
     assert x.min() >= 0.0
 
 
 def test_ncchisq_vector_noncentrality():
     lam = np.linspace(0.0, 10.0, 1000)
-    x = sample_noncentral_chisq(RngStream(45, 0), NoncentralChiSqParams(0.7, lam))
+    x = sample_noncentral_chisq(RngStream(45, 0), 0.7, lam)
     assert x.shape == lam.shape
     assert np.all(x >= 0.0)
 
 
 def test_ncchisq_lambda0_matches_gamma_ks():
     n = 100_000
-    x = sample_noncentral_chisq(RngStream(46, 0), NoncentralChiSqParams(1.0525, 0.0), size=n)
+    x = sample_noncentral_chisq(RngStream(46, 0), 1.0525, 0.0, size=n)
     y = sample_gamma(RngStream(46, 1), 1.0525 / 2.0, 2.0, size=n)
     assert stats.ks_2samp(x, y).pvalue > 0.01
 
@@ -173,5 +172,5 @@ def test_ncchisq_lambda0_matches_gamma_ks():
 @settings(max_examples=25, deadline=None)
 @given(dof=st.floats(min_value=0.05, max_value=50), lam=st.floats(min_value=0.0, max_value=100))
 def test_ncchisq_always_nonnegative(dof, lam):
-    x = sample_noncentral_chisq(RngStream(47, 0), NoncentralChiSqParams(dof, lam), size=32)
+    x = sample_noncentral_chisq(RngStream(47, 0), dof, lam, size=32)
     assert np.all(x >= 0.0)
