@@ -317,7 +317,8 @@ def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
 def dump_paths_csv(paths: PathSet, destination):
     """Write paths as CSV rows ``path,step,asset,var1[,var2]``, one per stored column.
 
-    ``step`` is the grid index of the column.
+    ``step`` is the grid index of the column. Each value is written as the
+    ``repr`` of a Python float, so it parses back to the same bits.
     """
     two_factor = paths.variance_2 is not None
     header = ["path", "step", "asset", "var1"] + (["var2"] if two_factor else [])
@@ -329,9 +330,9 @@ def dump_paths_csv(paths: PathSet, destination):
         writer.writerow(header)
         for p in range(paths.n_paths):
             for j, k in enumerate(paths.columns):
-                row = [p, k, repr(asset[p, j]), repr(paths.variance_1[p, j])]
+                row = [p, k, repr(float(asset[p, j])), repr(float(paths.variance_1[p, j]))]
                 if two_factor:
-                    row.append(repr(paths.variance_2[p, j]))
+                    row.append(repr(float(paths.variance_2[p, j])))
                 writer.writerow(row)
 
     if hasattr(destination, "write"):

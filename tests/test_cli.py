@@ -410,10 +410,10 @@ def test_golden_bench_json(tmp_path, capsys):
 GOLDEN_PATHS_CSV = [
     (["--preset", "feller-violating", "--scheme", "aes", "--steps", "4", "--paths", "3",
       "--seed", "1"],
-     "d07044acf44dc21ac93811f33d334c933938fe1f4abed2ce73788d739254bcd4"),
+     "c4feb83c74cd8cba2046bbc104d0abeb4e74c4571f64cb54259604d6122f3ff9"),
     (["--preset", "double-heston-zhang", "--scheme", "euler", "--spot", "55", "--steps", "3",
       "--paths", "4", "--seed", "2"],
-     "be21005ecbcf7291f3cd80386dd495305d4c150b33959a9eab8383ace5d3c00b"),
+     "e000d5e3ef721cb6b49632239e8ecdbc5120e2bed40558eb83f5f3a8b9735e99"),
 ]
 
 

@@ -330,6 +330,19 @@ def test_dump_paths_csv_labels_stored_grid_indices():
     assert part.getvalue().splitlines() == [rows[0], *kept]
 
 
+@pytest.mark.parametrize("scheme, params", [("aes", EQ5), ("euler", ZHANG)], ids=["heston", "double-heston"])
+def test_dump_paths_csv_cells_parse_back_bit_for_bit(scheme, params):
+    paths = simulate(scheme, params, TimeGrid(0.25, 3), 4, seed=9, columns=(0, 2, 3))
+    out = io.StringIO()
+    dump_paths_csv(paths, out)
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(p, k) for p in range(4) for k in (0, 2, 3)]
+    cells = np.array([[float(c) for c in r[2:]] for r in rows]).reshape(4, 3, -1)
+    assert np.array_equal(cells[..., 0], paths.asset)
+    for j, var in enumerate(paths.variances(), start=1):
+        assert np.array_equal(cells[..., j], var)
+
+
 def test_dump_paths_csv_double_heston(tmp_path):
     paths = simulate("aes", ZHANG, TimeGrid(0.25, 3), 2, seed=8)
     out = tmp_path / "paths.csv"
