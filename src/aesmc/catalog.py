@@ -30,7 +30,7 @@ from .experiments import (
     scaled,
 )
 from .lsm import ExerciseSchedule
-from .models import DoubleHestonParams, HestonParams, preset
+from .models import DoubleHestonParams, HestonParams, check_values, preset
 
 TABLE_IDS = ("1", "2", "3", "4", "5", "6")
 FIGURE_IDS = ("fig1", "fig2", "fig3")
@@ -66,8 +66,10 @@ def _model_from_entry(entry: dict):
     Inline ``model`` fields override the preset's, and fields not given are
     taken from the preset where the names match; ``kind`` defaults to the
     preset's model kind, else heston. A missing or unknown preset, kind or
-    field, a field that is not a number, or a missing maturity raises a
-    ValueError that names it. The strike is None when neither gives one.
+    field, a field that is not a number, a value that ``check_values``
+    refuses, or a missing maturity raises a ValueError that names it. The
+    Feller condition is left to ``simulate``, which warns. The strike is None
+    when neither gives one.
     """
     model = strike = maturity = None
     if "preset" in entry:
@@ -96,7 +98,7 @@ def _model_from_entry(entry: dict):
         missing = [n for n in names if n not in inline]
         if missing:
             raise ValueError(f"inline model is missing {cls.__name__} field(s): {', '.join(missing)}")
-        model = cls(**inline)
+        model = check_values(cls(**inline))
     if model is None:
         raise ValueError("experiment entry needs a 'preset' or an inline 'model'")
     strike = entry.get("strike", strike)

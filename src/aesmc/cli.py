@@ -165,22 +165,27 @@ def cmd_bench(args, parser) -> int:
     spec = _spec(args, parser)
     aes_steps = spec.n_steps
     euler_steps = args.euler_steps or 2 * aes_steps
+    try:  # both legs are checked before either runs
+        specs = [replace(spec, name=f"bench-{scheme}-m{steps}", scheme=scheme, n_steps=steps,
+                         schedule=args.dates or aes_steps)
+                 for scheme, steps in (("aes", aes_steps), ("euler", euler_steps))]
+    except ValueError as exc:
+        parser.error(str(exc))
     cases = []
-    for scheme, steps in (("aes", aes_steps), ("euler", euler_steps)):
-        case = experiments.run_experiment(replace(
-            spec, name=f"bench-{scheme}-m{steps}", scheme=scheme, n_steps=steps,
-            schedule=args.dates or aes_steps,
-        )).cases[0]
+    for leg in specs:
+        case = experiments.run_experiment(leg).cases[0]
         cases.append(case)
-        print(f"{scheme:6s} M={steps:<4d} price={case.mean_price:.6f} run_std={case.run_std:.6f} "
+        print(f"{leg.scheme:6s} M={leg.n_steps:<4d} price={case.mean_price:.6f} run_std={case.run_std:.6f} "
               f"time={case.elapsed_s:.3f}s mem={case.memory_bytes}")
     aes_case, euler_case = cases
     time_ratio = euler_case.elapsed_s / aes_case.elapsed_s
     mem_ratio = euler_case.memory_bytes / aes_case.memory_bytes
-    rel_gap = abs(euler_case.mean_price - aes_case.mean_price) / aes_case.mean_price
+    # relative to an AES price of 0 the gap is undefined
+    rel_gap = (abs(euler_case.mean_price - aes_case.mean_price) / aes_case.mean_price
+               if aes_case.mean_price else None)
     print(f"euler/aes time ratio   {time_ratio:.3f}")
     print(f"euler/aes memory ratio {mem_ratio:.3f}")
-    print(f"price gap |e-a|/a      {rel_gap:.6f}")
+    print(f"price gap |e-a|/a      {'n/a' if rel_gap is None else f'{rel_gap:.6f}'}")
     if args.out:
         payload = {
             "aes": {"steps": aes_steps, "price": aes_case.mean_price,

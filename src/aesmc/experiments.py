@@ -180,8 +180,9 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
     """Execute one experiment: ``price_runs`` on its one schedule, then aggregate.
 
     A case's ``elapsed_s`` is its run's simulation time plus its own pricing
-    time, averaged over runs. ``run_prices_out``, when given, collects {case label: [price per run]}
-    for callers that need per-run data (slack computations, diagnostics).
+    time, averaged over runs. ``run_prices_out``, when given, collects
+    {case label: [price per run]} for callers that need per-run data (slack
+    computations, diagnostics).
     """
     schedule = spec.resolve_schedule()
     report = ExperimentReport(

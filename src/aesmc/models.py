@@ -3,9 +3,10 @@
 Heston-type dynamics under the risk-neutral measure: the asset follows a
 log-normal diffusion whose instantaneous variance is one CIR factor (Heston)
 or the sum of two independent CIR factors (double Heston). Parameters are
-plain frozen dataclasses; ``validate`` collects every violated invariant at
-once. A violated Feller condition is a warning, not an error: the exact CIR
-sampler does not care, and one of the built-in presets violates it on purpose.
+plain frozen dataclasses; ``check_values`` collects every violated invariant
+at once, and ``validate`` adds the Feller check. A violated Feller condition
+is a warning, not an error: the exact CIR sampler does not care, and one of
+the built-in presets violates it on purpose.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 
 class ParameterError(ValueError):
-    """Raised by ``validate`` with the complete list of violations."""
+    """Raised by ``check_values`` with the complete list of violations."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -107,12 +108,11 @@ def _correlation(errors, name, value):
         errors.append(f"{name} must lie in [-1,1]")
 
 
-def validate(params):
+def check_values(params):
     """Return ``params`` unchanged if all invariants hold, else raise.
 
     Raises ``ParameterError`` carrying one message per violated invariant,
-    naming the offending field. A failed Feller condition only emits a
-    ``FellerWarning``.
+    naming the offending field. The Feller condition is not checked.
     """
     errors: list[str] = []
     if isinstance(params, HestonParams):
@@ -136,7 +136,12 @@ def validate(params):
         raise TypeError(f"cannot validate {type(params).__name__}")
     if errors:
         raise ParameterError(errors)
-    factors = params.factors()
+    return params
+
+
+def validate(params):
+    """``check_values``, then a ``FellerWarning`` for each factor that fails Feller."""
+    factors = check_values(params).factors()
     for i, factor in enumerate(factors, start=1):
         if not feller_holds(factor):
             label = "" if len(factors) == 1 else f" (factor {i})"

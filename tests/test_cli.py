@@ -1,11 +1,13 @@
 import hashlib
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from aesmc.cli import main
+from aesmc.models import FellerWarning
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
@@ -173,6 +175,10 @@ SEED_NOT_AN_INTEGER = ENTRY + "    preset: feller-holding\n    base_seed: [0]\n"
 DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
                      + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
                      + "    preset: feller-holding\n")
+# a first entry that is valid, then one with a model value out of range
+GAMMA_NEGATIVE = (ENTRY + "    preset: feller-holding\n"
+                  + ENTRY.split("experiments:\n")[1]
+                  + "    preset: feller-holding\n    model: {gamma: -1.0}\n")
 
 
 @pytest.mark.parametrize("broken, named", [
@@ -189,10 +195,11 @@ DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
     (PATHS_NOT_AN_INTEGER, "'n_paths' must be an integer"),
     (STEPS_NOT_AN_INTEGER, "'n_steps' must be an integer"),
     (SEED_NOT_AN_INTEGER, "'base_seed' must be an integer"),
+    (GAMMA_NEGATIVE, "gamma must be positive"),
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
         "reference-not-a-mapping", "runs-not-an-integer", "n-paths-not-an-integer",
-        "n-steps-not-an-integer", "base-seed-not-an-integer"])
+        "n-steps-not-an-integer", "base-seed-not-an-integer", "gamma-negative"])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -209,7 +216,9 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
      "date count 30 exceeds n_steps 12"),
     (["--config", "{config}"], NON_NUMERIC_RHO, "must be numbers: rho"),
     (["--config", "{config}"], VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
-], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list"])
+    (["--preset", "feller-violating", "--gamma", "-1", "--paths", "100"], NON_NUMERIC_RHO,
+     "gamma must be positive"),
+], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative"])
 def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(config)
@@ -217,6 +226,16 @@ def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, caps
         main(["price", *(str(cfg) if a == "{config}" else a for a in argv)])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
+
+
+def test_feller_violation_warns_once_per_simulation(capsys):
+    # checking the entry's model values adds no Feller warning to simulate's
+    argv = ["price", "--preset", "feller-violating", "--gamma", "0.9", "--steps", "2",
+            "--paths", "100", "--runs", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [type(w.message) for w in caught] == [FellerWarning] * 3
 
 
 def test_tables_unknown_id_usage_error(capsys):
@@ -315,6 +334,27 @@ def test_paths_need_no_strike(capsys):
     assert main([*argv, "--strike", "100"]) == 0
     assert capsys.readouterr().out == without_strike
     assert without_strike.splitlines()[0] == "path,step,asset,var1"
+
+
+def test_bench_checks_both_legs_before_running(capsys):
+    argv = ["bench", "--preset", "feller-violating", "--steps", "4", "--euler-steps", "3",
+            "--paths", "100", "--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "date count 4 exceeds n_steps 3" in err
+
+
+def test_bench_zero_aes_price_has_no_gap(tmp_path, capsys):
+    # far out of the money every path prices 0
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--preset", "feller-violating", "--spot", "400", "--steps", "2",
+            "--paths", "200", "--runs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert "price gap |e-a|/a      n/a" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["aes"]["price"] == 0.0 and payload["rel_gap"] is None
 
 
 def test_bench_smoke(capsys):

@@ -11,6 +11,7 @@ from aesmc.models import (
     HestonParams,
     ParameterError,
     PutPayoff,
+    check_values,
     feller_holds,
     preset,
     validate,
@@ -105,6 +106,14 @@ def test_validate_feller_holding_is_silent():
         warnings.simplefilter("error")
         assert validate(EQ4) is EQ4
         assert validate(ZHANG) is ZHANG
+
+
+def test_check_values_refuses_without_feller_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_values(EQ5) is EQ5
+    with pytest.raises(ParameterError, match="gamma must be positive"):
+        check_values(HestonParams(s0=1, v0=0.1, r=0.0, kappa=1.0, nu_bar=0.5, gamma=-1.0, rho=0.0))
 
 
 def test_validate_double_heston_fields():
