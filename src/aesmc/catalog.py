@@ -40,6 +40,10 @@ def available_ids() -> tuple[str, ...]:
     return TABLE_IDS + FIGURE_IDS
 
 
+# libyaml's safe loader when PyYAML was built with it: the same objects, parsed in C.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(source) -> dict:
     """Load a catalog id ('1'..'6', 'fig1'..'fig3') or a YAML file path."""
     source = str(source)
@@ -49,9 +53,9 @@ def load_config(source) -> dict:
         name = f"{source}.yaml"
     else:
         with open(source) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=YAML_LOADER)
     text = resources.files("aesmc.configs").joinpath(name).read_text()
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=YAML_LOADER)
 
 
 # Inline model kinds of a config entry ("double_heston" is accepted too).

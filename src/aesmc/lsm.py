@@ -136,6 +136,11 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     through ``paths.column``, so the path set needs to store only the
     schedule's dates; a date it does not store is a ValueError naming it.
 
+    A path is in the money on a date when its spot is below the strike,
+    which is exactly when the payoff K - s rounds to a positive number, so
+    K - s is computed on those rows only. A path at the strike is out of the
+    money and is never exercised there.
+
     The sweep allocates its feature buffer and its discount factors
     exp(-r dt j), j = 0..M, once, and only gathers the in-the-money rows and
     scatters the exercised ones per date.
@@ -151,13 +156,13 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     exercise_index = np.full(paths.n_paths, last)
     for k, j in zip(reversed(schedule.exercise_indices[:-1]), reversed(positions[:-1])):
         spot = paths.s0 * paths.growth[:, j]
-        immediate = payoff(spot)
-        rows = np.flatnonzero(immediate > 0.0)
+        rows = np.flatnonzero(spot < payoff.strike)
         if rows.size == 0:
             continue
-        immediate = immediate.take(rows)
+        spot = spot.take(rows)
+        immediate = payoff.strike - spot
         target = cashflow.take(rows) * discount.take(exercise_index.take(rows) - k)
-        features = build_features(spot.take(rows), payoff.strike,
+        features = build_features(spot, payoff.strike,
                                   [v[:, j].take(rows) for v in variances],
                                   out=feature_buffer[:rows.size])
         coef = regress_continuation(features, target)

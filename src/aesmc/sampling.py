@@ -61,6 +61,21 @@ def sample_standard_normal(stream: RngStream, size=None):
     return stream.generator.standard_normal(size=size)
 
 
+def _bounds(values: np.ndarray, message: str, zero_ok: bool = False):
+    """``(min, max)`` of ``values``, ``(inf, -inf)`` when empty.
+
+    Raises ValueError(message) unless every element is finite and > 0 (>= 0
+    with ``zero_ok``); NaN propagates into both bounds, so one ``min`` and
+    one ``max`` pass check the whole array.
+    """
+    if values.size == 0:
+        return math.inf, -math.inf
+    low, high = values.min(), values.max()
+    if not ((low >= 0.0 if zero_ok else low > 0.0) and high < math.inf):
+        raise ValueError(message)
+    return low, high
+
+
 def sample_gamma(stream: RngStream, shape, scale, size=None):
     """Gamma(shape, scale) draw(s), valid for every shape > 0.
 
@@ -68,32 +83,32 @@ def sample_gamma(stream: RngStream, shape, scale, size=None):
     use the exact boost Gamma(a) = Gamma(a + 1) * U^(1/a); the correction
     uses 1 - U so the result stays strictly positive. When any element of a
     vector draw has shape < 1 the call consumes one gamma batch plus one
-    uniform batch, in that order.
+    full uniform batch, in that order, whatever the share of small shapes;
+    the correction exp(log1p(-U) / a) is computed at the small positions only.
     """
     shape_arr = np.asarray(shape, dtype=np.float64)
     scale_arr = np.asarray(scale, dtype=np.float64)
-    if not np.all(np.isfinite(shape_arr)) or np.any(shape_arr <= 0.0):
-        raise ValueError("gamma shape must be finite and > 0")
-    if not np.all(np.isfinite(scale_arr)) or np.any(scale_arr <= 0.0):
-        raise ValueError("gamma scale must be finite and > 0")
+    low, _ = _bounds(shape_arr, "gamma shape must be finite and > 0")
+    _bounds(scale_arr, "gamma scale must be finite and > 0")
     gen = stream.generator
-    small = shape_arr < 1.0
-    if not np.any(small):
+    if low >= 1.0:
         return gen.standard_gamma(shape_arr, size=size) * scale_arr
-    boosted = np.where(small, shape_arr + 1.0, shape_arr)
-    draw = gen.standard_gamma(boosted, size=size)
-    u = gen.random(size=np.shape(draw) if np.ndim(draw) else None)
-    correction = np.exp(np.log1p(-u) / np.where(small, shape_arr, 1.0))
-    draw = np.where(small, draw * correction, draw)
+    small = shape_arr < 1.0
+    draw = gen.standard_gamma(np.where(small, shape_arr + 1.0, shape_arr), size=size)
+    if np.ndim(draw) == 0:
+        return draw * np.exp(np.log1p(-gen.random()) / shape_arr) * scale_arr
+    u = gen.random(size=draw.shape)
+    at = np.flatnonzero(np.broadcast_to(small, draw.shape))
+    correction = np.exp(np.log1p(-u.take(at)) / np.broadcast_to(shape_arr, draw.shape).take(at))
+    draw.put(at, draw.take(at) * correction)
     return draw * scale_arr
 
 
 def sample_poisson(stream: RngStream, rate, size=None):
     """Poisson(rate) draw(s); rate 0 returns 0 deterministically."""
     rate_arr = np.asarray(rate, dtype=np.float64)
-    if not np.all(np.isfinite(rate_arr)) or np.any(rate_arr < 0.0):
-        raise ValueError("poisson rate must be finite and >= 0")
-    if np.any(rate_arr > MAX_POISSON_RATE):
+    _, high = _bounds(rate_arr, "poisson rate must be finite and >= 0", zero_ok=True)
+    if high > MAX_POISSON_RATE:
         raise ValueError(
             f"poisson rate above {MAX_POISSON_RATE:.0e}: noncentrality blew up, "
             "check the time step scaling"
@@ -113,4 +128,5 @@ def sample_noncentral_chisq(stream: RngStream, dof: float, noncentrality, size=N
     if not (math.isfinite(dof) and dof > 0.0):
         raise ValueError(f"dof must be finite and > 0, got {dof}")
     mix = sample_poisson(stream, np.asarray(noncentrality, dtype=np.float64) / 2.0, size=size)
-    return sample_gamma(stream, (dof + 2.0 * np.asarray(mix)) / 2.0, 2.0)
+    # mix + dof/2 is (dof + 2 mix)/2 bit for bit: halving and doubling are exact.
+    return sample_gamma(stream, np.add(mix, dof / 2.0), 2.0)

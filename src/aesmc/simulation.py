@@ -210,6 +210,7 @@ def _aes_block(params, grid, stream, growth, variances, store):
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
     x, v = _start_block(factors, growth, variances, store)
+    term = np.empty(count)
     for i in range(grid.steps):
         v_next = [
             cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
@@ -218,19 +219,21 @@ def _aes_block(params, grid, stream, growth, variances, store):
         z = [sample_standard_normal(stream, size=count) for _ in factors]
         # Drift terms, then the v_next terms, then the diffusion terms: any
         # other summation order changes the last bits of every path.
-        x = x + c0
+        x += c0
         for c, vj in zip(c1, v):
-            x = x + c * vj
+            x += np.multiply(vj, c, out=term)
         for c, vj in zip(c2, v_next):
-            x = x + c * vj
+            x += np.multiply(vj, c, out=term)
         for c, vj, zj in zip(c3, v, z):
-            x = x + np.sqrt(c * vj) * zj
+            np.multiply(vj, c, out=term)
+            np.sqrt(term, out=term)
+            x += np.multiply(term, zj, out=term)
         v = v_next
         j = store.get(i + 1)
         if j is not None:
             for var, vj in zip(variances, v):
                 var[:, j] = vj
-            growth[:, j] = np.exp(x)
+            np.exp(x, out=growth[:, j])
 
 
 def _euler_block(params, grid, stream, growth, variances, store):
@@ -239,6 +242,7 @@ def _euler_block(params, grid, stream, growth, variances, store):
     factors = params.factors()
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
     x, v = _start_block(factors, growth, variances, store)
+    mixed, scale = np.empty(count), np.empty(count)
     for i in range(grid.steps):
         z_v = [sample_standard_normal(stream, size=count) for _ in factors]
         z_x = [sample_standard_normal(stream, size=count) for _ in factors]
@@ -246,15 +250,20 @@ def _euler_block(params, grid, stream, growth, variances, store):
             truncated_euler_variance_step(vj, f.kappa, f.nu_bar, f.gamma, dt, zj)
             for f, vj, zj in zip(factors, v, z_v)
         ]
-        x = x + (params.r - 0.5 * sum(v)) * dt
+        x += (params.r - 0.5 * sum(v)) * dt
         for f, o, vj, zvj, zxj in zip(factors, ortho, v, z_v, z_x):
-            x = x + np.sqrt(vj * dt) * (f.rho * zvj + o * zxj)
+            # x += sqrt(v dt) * (rho z_v + o z_x), in two reused buffers
+            np.multiply(zvj, f.rho, out=mixed)
+            mixed += np.multiply(zxj, o, out=scale)
+            np.multiply(vj, dt, out=scale)
+            np.sqrt(scale, out=scale)
+            x += np.multiply(scale, mixed, out=scale)
         v = v_next
         j = store.get(i + 1)
         if j is not None:
             for var, vj in zip(variances, v):
                 var[:, j] = vj
-            growth[:, j] = np.exp(x)
+            np.exp(x, out=growth[:, j])
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
@@ -301,17 +310,6 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
         _BLOCK_KERNELS[scheme](params, grid, RngStream(seed, block_id),
                                growth[rows], tuple(var[rows] for var in variances), store)
     return PathSet(grid, params.s0, growth, *variances, columns=columns)
-
-
-def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
-    """Closed-form conditional mean and variance of a CIR factor after ``dt``."""
-    decay = math.exp(-kappa * dt)
-    mean = v0 * decay + nu_bar * (1.0 - decay)
-    var = (
-        v0 * gamma**2 / kappa * (decay - decay**2)
-        + nu_bar * gamma**2 / (2.0 * kappa) * (1.0 - decay) ** 2
-    )
-    return mean, var
 
 
 def dump_paths_csv(paths: PathSet, destination):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,14 @@ def ncx2_moment_se(dof: float, lam: float, n: int):
     se_mean = np.sqrt(kap2 / n)
     se_var = np.sqrt((mu4 - kap2**2) / n)
     return se_mean, se_var
+
+
+def cir_conditional_moments(kappa, gamma, nu_bar, dt, v0):
+    """Closed-form conditional mean and variance of a CIR factor after ``dt``."""
+    decay = math.exp(-kappa * dt)
+    mean = v0 * decay + nu_bar * (1.0 - decay)
+    var = (
+        v0 * gamma**2 / kappa * (decay - decay**2)
+        + nu_bar * gamma**2 / (2.0 * kappa) * (1.0 - decay) ** 2
+    )
+    return mean, var

@@ -21,12 +21,11 @@ from aesmc.sampling import RngStream, sample_noncentral_chisq
 from aesmc.simulation import (
     BLOCK_SIZE,
     TimeGrid,
-    cir_conditional_moments,
     cir_exact_step,
     cir_transition_params,
     simulate,
 )
-from conftest import ncx2_moment_se
+from conftest import cir_conditional_moments, ncx2_moment_se
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 

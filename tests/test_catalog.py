@@ -1,10 +1,13 @@
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
+import yaml
 
 from aesmc import experiments
 from aesmc.catalog import (
+    YAML_LOADER,
     available_ids,
     experiment_from_entry,
     load_config,
@@ -20,6 +23,16 @@ pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
 def test_available_ids():
     assert available_ids() == ("1", "2", "3", "4", "5", "6", "fig1", "fig2", "fig3")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml: "
+                    "load_config uses SafeLoader itself, so there is nothing to compare")
+@pytest.mark.parametrize("config_id", available_ids())
+def test_yaml_loaders_agree(config_id):
+    assert YAML_LOADER is yaml.CSafeLoader
+    name = f"{config_id}.yaml" if config_id.startswith("fig") else f"table{config_id}.yaml"
+    text = resources.files("aesmc.configs").joinpath(name).read_text()
+    assert load_config(config_id) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 @pytest.mark.parametrize("table_id,n_specs", [("1", 2), ("2", 2), ("3", 2), ("4", 6), ("5", 2), ("6", 4)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aesmc import lsm
 from aesmc.lsm import (
     RCOND,
     ExerciseSchedule,
@@ -14,7 +15,7 @@ from aesmc.lsm import (
     regress_continuation,
 )
 from aesmc.models import PutPayoff, preset
-from aesmc.simulation import TimeGrid, simulate
+from aesmc.simulation import PathSet, TimeGrid, simulate
 
 EQ5 = preset("feller-violating").params
 ZHANG = preset("double-heston-zhang").params
@@ -214,6 +215,30 @@ def test_empty_regression_dates_are_skipped(eq5_paths):
     schedule = ExerciseSchedule.every_step(eq5_paths.grid)
     res = lsm_price(eq5_paths, PutPayoff(1e-6), schedule, EQ5.r)
     assert res.price == 0.0
+
+
+def test_path_at_the_strike_is_out_of_the_money(monkeypatch):
+    # date 1: path 0 sits exactly at the strike, path 1 one ulp below it,
+    # paths 2..9 deeper in the money; every path ends in the money at date 2
+    grid = TimeGrid(0.5, 2)
+    rng = np.random.default_rng(7)
+    at_date_1 = np.concatenate([[1.0, np.nextafter(1.0, 0.0)], np.linspace(0.6, 0.95, 8)])
+    growth = np.column_stack([np.ones(10), at_date_1, np.linspace(0.5, 0.9, 10)])
+    variance = rng.uniform(0.01, 0.1, size=(10, 3))
+    paths = PathSet(grid, 100.0, growth, variance)
+    regressed = []
+
+    def counting(features, target):
+        regressed.append(features[:, 1].copy())   # the column s = S/K
+        return regress_continuation(features, target)
+
+    monkeypatch.setattr(lsm, "regress_continuation", counting)
+    cashflow, exercise_index = backward_induction(paths, PutPayoff(100.0),
+                                                  ExerciseSchedule.every_step(grid), 0.0)
+    (s,) = regressed
+    assert s.size == 9                        # path 1 and paths 2..9; not path 0
+    assert s[0] == np.nextafter(1.0, 0.0)
+    assert exercise_index[0] == 2 and cashflow[0] == 100.0 * (1.0 - 0.5)
 
 
 def test_schedule_grid_mismatch_rejected(eq5_paths):

@@ -93,6 +93,60 @@ def test_gamma_rejects_bad_scale():
         sample_gamma(RngStream(0), 1.0, np.inf)
 
 
+def _reference_gamma(stream, shape, scale, size=None):
+    """The boosted-gamma formula applied at full width, as a reference for sample_gamma."""
+    shape_arr = np.asarray(shape, dtype=np.float64)
+    gen = stream.generator
+    small = shape_arr < 1.0
+    draw = gen.standard_gamma(np.where(small, shape_arr + 1.0, shape_arr), size=size)
+    u = gen.random(size=np.shape(draw) if np.ndim(draw) else None)
+    correction = np.exp(np.log1p(-u) / np.where(small, shape_arr, 1.0))
+    return np.where(small, draw * correction, draw) * scale
+
+
+@pytest.mark.parametrize("shape, size", [
+    (np.array([0.3, 0.9, 1.0, 2.5, 0.05, 17.0, 0.999, 1.0000001] * 50), None),
+    (0.4, 1000),
+    (np.float64(0.7), None),
+], ids=["mixed-vector", "scalar-with-size", "0-d"])
+def test_gamma_boost_bit_identical_to_full_width_formula(shape, size):
+    got_stream, want_stream = RngStream(25, 3), RngStream(25, 3)
+    got = sample_gamma(got_stream, shape, 2.0, size=size)
+    want = _reference_gamma(want_stream, shape, 2.0, size=size)
+    assert np.array_equal(got, want)
+    assert np.shape(got) == np.shape(want)
+    # both calls consumed the same draws: the streams stay in step
+    assert got_stream.generator.random() == want_stream.generator.random()
+
+
+SHAPE_ERROR = "gamma shape must be finite and > 0"
+RATE_ERROR = "poisson rate must be finite and >= 0"
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_gamma_rejects_bad_shape_inside_a_vector(bad):
+    shapes = np.array([0.5, 2.0, bad, 3.0])
+    with pytest.raises(ValueError, match=SHAPE_ERROR):
+        sample_gamma(RngStream(0), shapes, 1.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, RATE_ERROR),
+    (np.inf, RATE_ERROR),
+    (-1.0, RATE_ERROR),
+    (2 * MAX_POISSON_RATE, "poisson rate above 1e\\+09"),
+])
+def test_poisson_rejects_bad_rate_inside_a_vector(bad, message):
+    rates = np.array([0.0, 4.0, bad, 10.0])
+    with pytest.raises(ValueError, match=message):
+        sample_poisson(RngStream(0), rates)
+
+
+def test_empty_arrays_give_empty_draws():
+    assert sample_poisson(RngStream(0), np.array([])).shape == (0,)
+    assert sample_gamma(RngStream(0), np.array([]), 1.0).shape == (0,)
+
+
 def test_poisson_zero_rate_deterministic():
     assert sample_poisson(RngStream(1), 0.0) == 0
     assert np.all(sample_poisson(RngStream(1), 0.0, size=100) == 0)

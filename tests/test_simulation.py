@@ -9,7 +9,6 @@ from aesmc.models import ParameterError, preset
 from aesmc.sampling import RngStream
 from aesmc.simulation import (
     BLOCK_SIZE,
-    cir_conditional_moments,
     cir_exact_step,
     cir_transition_params,
     dump_paths_csv,
@@ -18,7 +17,7 @@ from aesmc.simulation import (
     truncated_euler_variance_step,
     TimeGrid,
 )
-from conftest import ncx2_moment_se
+from conftest import cir_conditional_moments, ncx2_moment_se
 
 EQ4 = preset("feller-holding").params
 EQ5 = preset("feller-violating").params
