@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog, experiments
 from .models import PRESETS
-from .simulation import TimeGrid, dump_paths_csv, simulate
+from .simulation import SCHEMES, TimeGrid, dump_paths_csv, simulate
 
 MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)})
 # Flags that each set one key of the catalog entry.
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--config", default=None,
                    help="experiment config file supplying defaults (flags override)")
-    p.add_argument("--scheme", choices=["aes", "euler"], default="aes")
+    p.add_argument("--scheme", choices=SCHEMES, default="aes")
     p.add_argument("--steps", type=int, default=12, help="time steps M")
     _schedule_args(p)
     p.add_argument("--paths", type=int, default=100_000, help="paths per run")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("paths", formatter_class=fmt, help="dump simulated paths as CSV")
     _add_model_flags(d)
-    d.add_argument("--scheme", choices=["aes", "euler"], default="aes")
+    d.add_argument("--scheme", choices=SCHEMES, default="aes")
     d.add_argument("--steps", type=int, default=12)
     d.add_argument("--paths", type=int, default=16, help="paths to dump")
     d.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
-from .simulation import TimeGrid, simulate
+from .simulation import SCHEMES, TimeGrid, simulate
 
 CSV_COLUMNS = [
     "experiment", "case", "scheme", "n_steps", "n_paths", "runs",
@@ -36,7 +36,7 @@ DESK_RUNS = 10
 class ExperimentSpec:
     name: str
     model: HestonParams | DoubleHestonParams
-    scheme: str                      # "aes" | "euler"
+    scheme: str                      # one of simulation.SCHEMES
     n_paths: int
     n_steps: int
     schedule: int | str              # date count, or "american" for every step
@@ -51,8 +51,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         errors = []
-        if self.scheme not in ("aes", "euler"):
-            errors.append(f"scheme must be 'aes' or 'euler', got {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            errors.append(f"scheme must be {' or '.join(map(repr, SCHEMES))}, got {self.scheme!r}")
         if self.vary not in ("spot", "strike"):
             errors.append(f"vary must be 'spot' or 'strike', got {self.vary!r}")
         if int(self.runs) < 1:
@@ -84,10 +84,8 @@ class ExperimentSpec:
         return TimeGrid(maturity=self.maturity, steps=self.n_steps)
 
     def resolve_schedule(self) -> ExerciseSchedule:
-        grid = self.grid()
-        if self.schedule == "american":
-            return ExerciseSchedule.every_step(grid)
-        return ExerciseSchedule.nearest(grid, int(self.schedule))
+        n_dates = self.n_steps if self.schedule == "american" else self.schedule
+        return ExerciseSchedule.nearest(self.grid(), int(n_dates))
 
     def cases(self) -> list[tuple[float, float]]:
         """The (spot, strike) each case prices, in ``values`` order."""
@@ -225,17 +223,15 @@ def _csv_cell(value) -> str:
 
 
 def reports_csv(reports) -> str:
-    """CSV text: the ``CSV_COLUMNS`` header, then one row per case of each report."""
+    """CSV text: the ``CSV_COLUMNS`` header, then one row per case of each report.
+
+    Each column is the case's field of that name, else the report's.
+    """
     lines = [",".join(CSV_COLUMNS)]
     for report in reports:
         for case in report.cases:
-            row = [
-                report.experiment, case.case, report.scheme,
-                report.n_steps, report.n_paths, report.runs,
-                case.mean_price, case.run_std, case.ref_price, case.rel_error,
-                case.elapsed_s, case.memory_bytes,
-            ]
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join(_csv_cell(getattr(case if hasattr(case, name) else report, name))
+                                  for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

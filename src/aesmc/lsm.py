@@ -41,7 +41,8 @@ class ExerciseSchedule:
 
     @classmethod
     def every_step(cls, grid: TimeGrid) -> "ExerciseSchedule":
-        return cls(grid, tuple(range(1, grid.steps + 1)))
+        """Every grid index 1..M: ``nearest`` with M dates, as floor(j M / M + 1/2) = j."""
+        return cls.nearest(grid, grid.steps)
 
     @classmethod
     def nearest(cls, grid: TimeGrid, n_dates: int) -> "ExerciseSchedule":
@@ -121,6 +122,11 @@ def regress_continuation(features: np.ndarray, target: np.ndarray) -> np.ndarray
     return coef
 
 
+def discount_factors(r: float, grid: TimeGrid) -> np.ndarray:
+    """exp(-r dt j) for each grid index j = 0..M, looked up by ``take``."""
+    return np.exp(-r * grid.dt * np.arange(grid.steps + 1))
+
+
 @dataclass
 class LsmResult:
     price: float
@@ -141,15 +147,14 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     K - s is computed on those rows only. A path at the strike is out of the
     money and is never exercised there.
 
-    The sweep allocates its feature buffer and its discount factors
-    exp(-r dt j), j = 0..M, once, and only gathers the in-the-money rows and
-    scatters the exercised ones per date.
+    The sweep allocates its feature buffer and its ``discount_factors`` once,
+    and only gathers the in-the-money rows and scatters the exercised ones per date.
     """
     if schedule.grid != paths.grid:
         raise ValueError("schedule grid does not match the path grid")
     positions = [paths.column(k) for k in schedule.exercise_indices]
     variances = paths.variances()
-    discount = np.exp(-r * paths.grid.dt * np.arange(paths.grid.steps + 1))
+    discount = discount_factors(r, paths.grid)
     feature_buffer = np.empty((paths.n_paths, _n_features(len(variances))))
     last = schedule.exercise_indices[-1]
     cashflow = payoff(paths.s0 * paths.growth[:, positions[-1]])
@@ -176,11 +181,12 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
 def lsm_price(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSchedule, r: float) -> LsmResult:
     """Longstaff-Schwartz price of a Bermudan/American put over ``paths``.
 
-    With the degenerate schedule {M} this reduces exactly to the European
-    Monte Carlo estimator on the same paths.
+    Each cashflow is discounted by a lookup into the sweep's own
+    ``discount_factors``. With the degenerate schedule {M} this reduces
+    exactly to the European Monte Carlo estimator on the same paths.
     """
     cashflow, exercise_index = backward_induction(paths, payoff, schedule, r)
-    discounted = np.exp(-r * paths.grid.dt * exercise_index) * cashflow
+    discounted = discount_factors(r, paths.grid).take(exercise_index) * cashflow
     price = float(discounted.mean())
     std_error = float(discounted.std(ddof=1) / np.sqrt(paths.n_paths)) if paths.n_paths > 1 else 0.0
     return LsmResult(price=price, std_error=std_error)

@@ -11,7 +11,7 @@ the built-in presets violates it on purpose.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,42 +98,29 @@ def feller_holds(params) -> bool:
     return 2.0 * params.kappa * params.nu_bar > params.gamma**2
 
 
-def _positive(errors, name, value):
-    if not (np.isfinite(value) and value > 0.0):
-        errors.append(f"{name} must be positive")
-
-
-def _correlation(errors, name, value):
-    if not (np.isfinite(value) and -1.0 <= value <= 1.0):
-        errors.append(f"{name} must lie in [-1,1]")
+def _rule(name: str):
+    """(holds, message) for a model field: r finite, rho* in [-1, 1], else positive."""
+    if name == "r":
+        return np.isfinite, "must be finite"
+    if name.startswith("rho"):
+        return lambda x: np.isfinite(x) and -1.0 <= x <= 1.0, "must lie in [-1,1]"
+    return lambda x: np.isfinite(x) and x > 0.0, "must be positive"
 
 
 def check_values(params):
     """Return ``params`` unchanged if all invariants hold, else raise.
 
     Raises ``ParameterError`` carrying one message per violated invariant,
-    naming the offending field. The Feller condition is not checked.
+    naming the offending field, in field order with ``r`` last. The Feller
+    condition is not checked.
     """
-    errors: list[str] = []
-    if isinstance(params, HestonParams):
-        for name in ("s0", "v0", "kappa", "nu_bar", "gamma"):
-            _positive(errors, name, getattr(params, name))
-        _correlation(errors, "rho", params.rho)
-        if not np.isfinite(params.r):
-            errors.append("r must be finite")
-    elif isinstance(params, DoubleHestonParams):
-        for name in (
-            "s0",
-            "v0_1", "kappa_1", "nu_bar_1", "gamma_1",
-            "v0_2", "kappa_2", "nu_bar_2", "gamma_2",
-        ):
-            _positive(errors, name, getattr(params, name))
-        _correlation(errors, "rho_13", params.rho_13)
-        _correlation(errors, "rho_24", params.rho_24)
-        if not np.isfinite(params.r):
-            errors.append("r must be finite")
-    else:
+    if not isinstance(params, (HestonParams, DoubleHestonParams)):
         raise TypeError(f"cannot validate {type(params).__name__}")
+    errors = []
+    for name in sorted((f.name for f in fields(params)), key=lambda name: name == "r"):
+        holds, message = _rule(name)
+        if not holds(getattr(params, name)):
+            errors.append(f"{name} {message}")
     if errors:
         raise ParameterError(errors)
     return params

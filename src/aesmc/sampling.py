@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-# A Poisson rate this large means the CIR noncentrality blew up, i.e. a
-# mis-scaled time step; refuse instead of sampling garbage.
+# A Poisson rate this large means the CIR noncentrality is out of range; it
+# grows like 1/gamma^2 as the vol-of-vol gamma goes to 0. Refuse, don't sample.
 MAX_POISSON_RATE = 1.0e9
 
 _UINT64_MAX = 2**64
@@ -110,8 +110,8 @@ def sample_poisson(stream: RngStream, rate, size=None):
     _, high = _bounds(rate_arr, "poisson rate must be finite and >= 0", zero_ok=True)
     if high > MAX_POISSON_RATE:
         raise ValueError(
-            f"poisson rate above {MAX_POISSON_RATE:.0e}: noncentrality blew up, "
-            "check the time step scaling"
+            f"poisson rate above {MAX_POISSON_RATE:.0e}: the CIR noncentrality is out of "
+            "range; it grows like 1/gamma^2 as the vol-of-vol gamma goes to 0"
         )
     return stream.generator.poisson(rate_arr, size=size)
 

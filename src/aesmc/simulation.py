@@ -180,9 +180,9 @@ def log_price_constants(r: float, factors, dt: float):
     return c0 * dt, tuple(c1), tuple(c2), tuple(c3)
 
 
-def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z):
-    """Truncated Euler update: positive part of the full variance step."""
-    return np.maximum(v + kappa * (nu_bar - v) * dt + gamma * np.sqrt(v * dt) * z, 0.0)
+def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
+    """Truncated Euler update: positive part of the full variance step; ``root`` is sqrt(v dt)."""
+    return np.maximum(v + kappa * (nu_bar - v) * dt + gamma * root * z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +243,22 @@ def _euler_block(params, grid, stream, growth, variances, store):
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
     x, v = _start_block(factors, growth, variances, store)
     mixed, scale = np.empty(count), np.empty(count)
+    roots = [np.empty(count) for _ in factors]
     for i in range(grid.steps):
         z_v = [sample_standard_normal(stream, size=count) for _ in factors]
         z_x = [sample_standard_normal(stream, size=count) for _ in factors]
+        for vj, root in zip(v, roots):  # shared by the variance and log-price updates
+            np.sqrt(np.multiply(vj, dt, out=root), out=root)
         v_next = [
-            truncated_euler_variance_step(vj, f.kappa, f.nu_bar, f.gamma, dt, zj)
-            for f, vj, zj in zip(factors, v, z_v)
+            truncated_euler_variance_step(vj, f.kappa, f.nu_bar, f.gamma, dt, zj, root)
+            for f, vj, zj, root in zip(factors, v, z_v, roots)
         ]
         x += (params.r - 0.5 * sum(v)) * dt
-        for f, o, vj, zvj, zxj in zip(factors, ortho, v, z_v, z_x):
+        for f, o, root, zvj, zxj in zip(factors, ortho, roots, z_v, z_x):
             # x += sqrt(v dt) * (rho z_v + o z_x), in two reused buffers
             np.multiply(zvj, f.rho, out=mixed)
             mixed += np.multiply(zxj, o, out=scale)
-            np.multiply(vj, dt, out=scale)
-            np.sqrt(scale, out=scale)
-            x += np.multiply(scale, mixed, out=scale)
+            x += np.multiply(root, mixed, out=scale)
         v = v_next
         j = store.get(i + 1)
         if j is not None:
@@ -267,6 +268,7 @@ def _euler_block(params, grid, stream, growth, variances, store):
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
+SCHEMES = tuple(_BLOCK_KERNELS)
 
 
 def stored_columns(grid: TimeGrid, columns=None) -> tuple[int, ...]:
@@ -290,13 +292,13 @@ def stored_columns(grid: TimeGrid, columns=None) -> tuple[int, ...]:
 
 
 def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, columns=None) -> PathSet:
-    """Heston or double Heston paths under ``scheme`` ('aes' or 'euler').
+    """Heston or double Heston paths under ``scheme``, one of ``SCHEMES``.
 
     ``columns`` names the grid indices to store (see ``stored_columns``);
     the default stores all M+1.
     """
-    if scheme not in ("aes", "euler"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'aes' or 'euler'")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected {' or '.join(map(repr, SCHEMES))}")
     validate(params)
     if int(n_paths) < 1:
         raise ValueError("n_paths must be >= 1")

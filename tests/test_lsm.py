@@ -51,6 +51,9 @@ def test_every_step_and_evenly_spaced():
     grid = TimeGrid(0.25, 20)
     assert ExerciseSchedule.every_step(grid).exercise_indices == tuple(range(1, 21))
     assert ExerciseSchedule.nearest(grid, 5).exercise_indices == (4, 8, 12, 16, 20)
+    for steps in (1, 2, 3, 12, 60, 120, 750):
+        indices = ExerciseSchedule.every_step(TimeGrid(0.25, steps)).exercise_indices
+        assert indices == tuple(range(1, steps + 1))
 
 
 def test_nearest_mapping_750_26():
@@ -188,6 +191,17 @@ def test_price_bounds(eq5_paths):
     assert 0.0 <= res.price <= 100.0
     intrinsic = max(100.0 - EQ5.s0, 0.0)
     assert intrinsic <= res.price + 3 * res.std_error
+
+
+@pytest.mark.parametrize("dates", [None, 5], ids=["every-step", "nearest-5"])
+def test_price_is_the_mean_of_per_path_discounted_cashflows(eq5_paths, dates):
+    # the discount table lookup equals a per-path exp(-r dt j), bit for bit
+    grid = eq5_paths.grid
+    schedule = ExerciseSchedule.every_step(grid) if dates is None else ExerciseSchedule.nearest(grid, dates)
+    payoff = PutPayoff(100.0)
+    cashflow, exercise_index = backward_induction(eq5_paths, payoff, schedule, EQ5.r)
+    discounted = np.exp(-EQ5.r * grid.dt * exercise_index) * cashflow
+    assert lsm_price(eq5_paths, payoff, schedule, EQ5.r).price == float(discounted.mean())
 
 
 def test_currency_scaling_invariance(eq5_paths):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -114,6 +115,23 @@ def test_check_values_refuses_without_feller_warning():
         assert check_values(EQ5) is EQ5
     with pytest.raises(ParameterError, match="gamma must be positive"):
         check_values(HestonParams(s0=1, v0=0.1, r=0.0, kappa=1.0, nu_bar=0.5, gamma=-1.0, rho=0.0))
+
+
+def _bad_value(name):
+    if name == "r":
+        return float("inf")
+    return 1.5 if name.startswith("rho") else -1.0
+
+
+@pytest.mark.parametrize("params, name", [
+    pytest.param(params, f.name, id=f"{type(params).__name__}-{f.name}")
+    for params in (EQ4, ZHANG) for f in dataclasses.fields(params)
+])
+def test_check_values_names_each_bad_field(params, name):
+    bad = dataclasses.replace(params, **{name: _bad_value(name)})
+    with pytest.raises(ParameterError) as exc:
+        check_values(bad)
+    assert len(exc.value.errors) == 1 and exc.value.errors[0].split()[0] == name
 
 
 def test_validate_double_heston_fields():

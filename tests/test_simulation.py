@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aesmc.models import ParameterError, preset
-from aesmc.sampling import RngStream
+from aesmc.sampling import RngStream, sample_standard_normal
 from aesmc.simulation import (
     BLOCK_SIZE,
     cir_exact_step,
@@ -171,13 +171,30 @@ def test_aes_paths_nonnegative_variance_positive_asset():
 
 def test_truncated_euler_zero_variance_boundary():
     dt = 0.02
-    out = truncated_euler_variance_step(0.0, 5.0, 0.16, 0.9, dt, z=1.7)
+    out = truncated_euler_variance_step(0.0, 5.0, 0.16, 0.9, dt, z=1.7, root=0.0)
     assert out == 5.0 * 0.16 * dt                   # diffusion term vanishes at v=0
 
 
 def test_truncated_euler_clips_negative_update():
-    out = truncated_euler_variance_step(0.01, 1.0, 0.02, 0.9, 0.05, z=-5.0)
+    out = truncated_euler_variance_step(0.01, 1.0, 0.02, 0.9, 0.05, z=-5.0, root=math.sqrt(0.01 * 0.05))
     assert out == 0.0
+
+
+def test_truncated_euler_with_shared_root_is_the_one_line_update():
+    # the update that computed sqrt(v dt) itself, kept here as the reference
+    def reference(v, kappa, nu_bar, gamma, dt, z):
+        return np.maximum(v + kappa * (nu_bar - v) * dt + gamma * np.sqrt(v * dt) * z, 0.0)
+
+    stream = RngStream(13)
+    v = np.abs(sample_standard_normal(stream, size=1000)) * 0.05
+    v[::7] = 0.0
+    z = sample_standard_normal(stream, size=1000)
+    z[::5] = -8.0                                   # updates the positive part clips to 0
+    args = (v, 1.15, 0.0348, 0.39, 0.0125, z)
+    got = truncated_euler_variance_step(*args, root=np.sqrt(v * 0.0125))
+    want = reference(*args)
+    assert (v == 0.0).any() and (want == 0.0).any()
+    assert np.array_equal(got, want)
 
 
 def test_euler_variance_stays_nonnegative():
@@ -224,6 +241,13 @@ def test_simulate_dispatch_and_validation():
         simulate("aes", EQ5, TimeGrid(0.25, 4), 0, 0)
     with pytest.raises(ParameterError):
         simulate("aes", replace(EQ5, gamma=-1.0), TimeGrid(0.25, 4), 100, 0)
+
+
+def test_small_vol_of_vol_is_refused_naming_the_noncentrality():
+    # valid parameters, but the CIR noncentrality grows like 1/gamma^2
+    with pytest.raises(ValueError, match=r"poisson rate above 1e\+09: the CIR noncentrality is out of "
+                                         r"range; it grows like 1/gamma\^2 as the vol-of-vol"):
+        simulate("aes", replace(preset("feller-holding").params, gamma=1e-4), TimeGrid(0.25, 20), 1000, 3)
 
 
 def test_memory_proxy_matches_allocation_model():
