@@ -150,8 +150,7 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
         values=number_list("values", entry["values"]),
         strike=strike,
         maturity=maturity,
-        runs=integer("runs", entry.get("runs", 20)),
-        base_seed=integer("base_seed", entry.get("base_seed", 0)),
+        **{key: integer(key, entry[key]) for key in ("runs", "base_seed") if key in entry},
         reference_prices=number_list("reference.prices", prices) if prices else None,
         reference_source=reference.get("source", ""),
     )

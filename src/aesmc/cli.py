@@ -21,7 +21,8 @@ from . import catalog, experiments
 from .models import PRESETS
 from .simulation import SCHEMES, TimeGrid, dump_paths_csv, simulate
 
-MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)})
+# Model fields with one flag each; the model's s0 is set by --spot.
+MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)} - {"s0"})
 # Flags that each set one key of the catalog entry.
 ENTRY_KEYS = {
     "preset": "preset", "scheme": "scheme", "steps": "n_steps", "paths": "n_paths",
@@ -38,7 +39,7 @@ def _add_model_flags(parser):
     for name in MODEL_FIELDS:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, type=float, default=None, help=f"model parameter {name}")
-    parser.add_argument("--spot", type=float, default=None, help="initial asset price (overrides preset s0)")
+    parser.add_argument("--spot", type=float, default=None, help="initial asset price: the model's s0")
     parser.add_argument("--strike", type=float, default=None, help="put strike")
     parser.add_argument("--maturity", type=float, default=None, help="maturity in years")
 

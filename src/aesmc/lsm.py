@@ -58,13 +58,6 @@ class ExerciseSchedule:
         idx = tuple(int(np.floor(j * grid.steps / n_dates + 0.5)) for j in range(1, n_dates + 1))
         return cls(grid, idx)
 
-    @property
-    def n_dates(self) -> int:
-        return len(self.exercise_indices)
-
-    def times(self) -> np.ndarray:
-        return np.asarray(self.exercise_indices) * self.grid.dt
-
 
 def _n_features(n_factors: int) -> int:
     """Column count of ``build_features`` for ``n_factors`` variance factors."""

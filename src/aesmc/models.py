@@ -143,9 +143,8 @@ def validate(params):
 
 @dataclass(frozen=True)
 class MarketPreset:
-    """A named parameter set with its option strike and maturity."""
+    """A parameter set with its option strike and maturity, named by its ``PRESETS`` key."""
 
-    name: str
     params: HestonParams | DoubleHestonParams
     strike: float
     maturity: float
@@ -154,21 +153,18 @@ class MarketPreset:
 PRESETS: dict[str, MarketPreset] = {
     # Classic set with positive correlation; Feller condition holds.
     "feller-holding": MarketPreset(
-        name="feller-holding",
         params=HestonParams(s0=10.0, v0=0.0625, r=0.1, kappa=5.0, nu_bar=0.16, gamma=0.9, rho=0.1),
         strike=10.0,
         maturity=0.25,
     ),
     # Realistic negative-correlation set; Feller condition fails.
     "feller-violating": MarketPreset(
-        name="feller-violating",
         params=HestonParams(s0=100.0, v0=0.0348, r=0.04, kappa=1.15, nu_bar=0.0348, gamma=0.39, rho=-0.64),
         strike=100.0,
         maturity=0.25,
     ),
     # Two-factor set used for the American put benchmarks.
     "double-heston-zhang": MarketPreset(
-        name="double-heston-zhang",
         params=DoubleHestonParams(
             s0=61.9, r=0.03,
             v0_1=0.2, kappa_1=0.9, nu_bar_1=0.1, gamma_1=0.1,

@@ -52,9 +52,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
 
 def sample_standard_normal(stream: RngStream, size=None):
     """Standard normal draw(s)."""
@@ -80,8 +77,10 @@ def sample_gamma(stream: RngStream, shape, scale, size=None):
     """Gamma(shape, scale) draw(s), valid for every shape > 0.
 
     Shapes >= 1 sample directly (Marsaglia-Tsang under the hood). Shapes < 1
-    use the exact boost Gamma(a) = Gamma(a + 1) * U^(1/a); the correction
-    uses 1 - U so the result stays strictly positive. When any element of a
+    use the exact boost Gamma(a) = Gamma(a + 1) * U^(1/a), with 1 - U for U
+    so the power never sees 0. The result is >= 0 but not always > 0: at
+    tiny shapes U^(1/a) underflows to exactly 0.0 (in 100,000 draws at seed
+    1, 2.5% of them at shape 0.005 and 69% at 0.0005). When any element of a
     vector draw has shape < 1 the call consumes one gamma batch plus one
     full uniform batch, in that order, whatever the share of small shapes;
     the correction exp(log1p(-U) / a) is computed at the small positions only.

@@ -72,9 +72,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.maturity / self.steps
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 @dataclass
 class PathSet:

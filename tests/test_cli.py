@@ -69,7 +69,7 @@ def test_price_desk_scale_bermudan_case(capsys):
 
 def test_price_inline_model_missing_strike_errors(capsys):
     argv = [
-        "price", "--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.05",
+        "price", "--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
         "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
         "--maturity", "0.25", "--steps", "2", "--paths", "500", "--runs", "1",
     ]
@@ -132,6 +132,29 @@ def test_price_config_scheme_used_unless_flag_given(tmp_path, capsys):
     assert from_config["scheme"] == "euler" and from_config["price"] == flags["price"]
     overridden = _price_json(["--config", str(cfg), "--scheme", "aes"], capsys)
     assert overridden["scheme"] == "aes" and overridden["price"] == 5.912835459192022
+
+
+def test_spot_is_the_only_spot_flag(tmp_path, capsys):
+    # a config's values name the spot to price, and --spot is the one flag that overrides them
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(VARY_SPOT_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--config", str(cfg), "--s0", "97"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s0 97" in capsys.readouterr().err
+    from_config = _price_json(["--config", str(cfg), "--spot", "97"], capsys)
+    flags = _price_json(["--preset", "feller-violating", "--spot", "97", "--steps", "3",
+                         "--american", "--paths", "1500", "--seed", "11"], capsys)
+    del from_config["elapsed_s"], flags["elapsed_s"]
+    assert from_config == flags
+
+
+@pytest.mark.parametrize("command", ["bench", "paths"])
+def test_s0_flag_is_refused(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "feller-violating", "--s0", "97"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s0 97" in capsys.readouterr().err
 
 
 def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
@@ -326,7 +349,7 @@ def test_paths_dump_double_heston_stdout(capsys):
 
 
 def test_paths_need_no_strike(capsys):
-    argv = ["paths", "--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.05",
+    argv = ["paths", "--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
             "--kappa", "1", "--nu-bar", "0.04", "--gamma", "0.3", "--rho", "-0.5",
             "--maturity", "0.25", "--paths", "2", "--steps", "2"]
     assert main(argv) == 0
@@ -379,7 +402,7 @@ def test_help_exits_cleanly(command, capsys):
 # Golden CLI outputs at pinned seeds. A refactor of how flags become a
 # priced case must reproduce them exactly; timing fields are left out.
 SMALL = ["--paths", "2000", "--runs", "2", "--seed", "42"]
-INLINE_HESTON = ["--model", "heston", "--s0", "100", "--v0", "0.04", "--r", "0.05",
+INLINE_HESTON = ["--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
                  "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
                  "--strike", "100", "--maturity", "0.25"]
 

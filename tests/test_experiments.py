@@ -71,7 +71,7 @@ def test_spec_validation_collects_errors():
 def test_spec_refuses_more_dates_than_steps():
     with pytest.raises(ValueError, match="date count 5 exceeds n_steps 4"):
         smoke_spec(schedule=5)
-    assert smoke_spec(schedule=4).resolve_schedule().n_dates == 4
+    assert len(smoke_spec(schedule=4).resolve_schedule().exercise_indices) == 4
 
 
 def test_reference_prices_and_relative_errors():
