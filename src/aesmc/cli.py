@@ -67,6 +67,13 @@ def _entry_keys(flags: dict) -> dict:
     return entry
 
 
+def _require_spot(entry: dict) -> dict:
+    """``entry``; a ValueError naming --spot when its inline model has no s0 and no preset gives one."""
+    if "model" in entry and "preset" not in entry and "s0" not in entry["model"]:
+        raise ValueError("an inline --model needs --spot, the initial asset price (the model's s0)")
+    return entry
+
+
 def _entry(args) -> dict:
     """The one catalog entry the flags describe.
 
@@ -86,6 +93,7 @@ def _entry(args) -> dict:
     if "model" in given:
         given["model"] = {**entry.get("model", {}), **given["model"]}
     entry.update(given)
+    _require_spot(entry)
     spot = entry["vary"] == "spot"
     if flags.get("spot" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
@@ -203,7 +211,7 @@ def cmd_paths(args, parser) -> int:
     # paths price nothing, so they need the entry's model and maturity but no strike
     _refuse_below_one(args, parser, ("steps", "paths"))
     try:
-        model, _, maturity = catalog._model_from_entry(_entry_keys(vars(args)))
+        model, _, maturity = catalog._model_from_entry(_require_spot(_entry_keys(vars(args))))
     except ValueError as exc:
         parser.error(str(exc))
     paths = simulate(args.scheme, model, TimeGrid(maturity, args.steps), args.paths, args.seed)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
+from .sampling import UINT64_LIMIT
 from .simulation import SCHEMES, TimeGrid, simulate
 
 CSV_COLUMNS = [
@@ -57,6 +58,8 @@ class ExperimentSpec:
             errors.append(f"vary must be 'spot' or 'strike', got {self.vary!r}")
         if int(self.runs) < 1:
             errors.append("runs must be >= 1")
+        elif not 0 <= int(self.base_seed) <= UINT64_LIMIT - int(self.runs):
+            errors.append(f"base_seed {int(self.base_seed)} puts some run's seed outside 0..2**64-1")
         if int(self.n_paths) < 1:
             errors.append("n_paths must be >= 1")
         if int(self.n_steps) < 1:
@@ -72,6 +75,10 @@ class ExperimentSpec:
             errors.append("schedule date count must be >= 1")
         elif int(self.schedule) > int(self.n_steps):
             errors.append(f"schedule date count {int(self.schedule)} exceeds n_steps {int(self.n_steps)}")
+        if self.vary == "spot" and not (np.isfinite(float(self.strike)) and self.strike > 0.0):
+            errors.append(f"strike must be finite and > 0, got {self.strike!r}")
+        if not (np.isfinite(float(self.maturity)) and self.maturity > 0.0):
+            errors.append(f"maturity must be finite and > 0, got {self.maturity!r}")
         if self.reference_prices is not None and len(self.reference_prices) != len(self.values):
             errors.append("reference_prices length must match values")
         if errors:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .models import PutPayoff
-from .simulation import PathSet, TimeGrid
+from .simulation import PathSet, TimeGrid, stored_columns
 
 # Singular values below RCOND * largest are treated as zero in the solve.
 RCOND = 1e-10
@@ -22,27 +22,16 @@ RCOND = 1e-10
 
 @dataclass(frozen=True)
 class ExerciseSchedule:
-    """Grid indices (subset of 1..M, always ending at M) where exercise is allowed."""
+    """Grid indices where exercise is allowed: a ``stored_columns`` tuple without t=0."""
 
     grid: TimeGrid
     exercise_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.exercise_indices)
-        if len(idx) == 0:
-            raise ValueError("schedule needs at least one exercise date")
-        if idx[0] < 1:
+        idx = stored_columns(self.grid, self.exercise_indices)
+        if idx[0] == 0:
             raise ValueError("t=0 is not an exercise date; indices start at 1")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("exercise indices must be strictly increasing")
-        if idx[-1] != self.grid.steps:
-            raise ValueError("maturity (index M) must be exercisable")
         object.__setattr__(self, "exercise_indices", idx)
-
-    @classmethod
-    def every_step(cls, grid: TimeGrid) -> "ExerciseSchedule":
-        """Every grid index 1..M: ``nearest`` with M dates, as floor(j M / M + 1/2) = j."""
-        return cls.nearest(grid, grid.steps)
 
     @classmethod
     def nearest(cls, grid: TimeGrid, n_dates: int) -> "ExerciseSchedule":

@@ -1,7 +1,8 @@
 """Seeded sampling primitives: normal, gamma, Poisson, noncentral chi-squared.
 
-Streams are counter-based (Philox) and fully determined by ``(seed, stream_id)``,
-so a stream for path block *b* can be created at any point, in any order, and
+A stream is the NumPy generator ``rng_stream(seed, stream_id)`` returns:
+counter-based (Philox) and fully determined by ``(seed, stream_id)``, so a
+stream for path block *b* can be created at any point, in any order, and
 always yields the same draws. All samplers accept an optional ``size`` and are
 vectorized; each returns what its NumPy generator call returns (an array, or a
 Python or NumPy scalar for a scalar call).
@@ -25,37 +26,26 @@ import numpy as np
 # grows like 1/gamma^2 as the vol-of-vol gamma goes to 0. Refuse, don't sample.
 MAX_POISSON_RATE = 1.0e9
 
-_UINT64_MAX = 2**64
+UINT64_LIMIT = 2**64
 
 
-class RngStream:
-    """Deterministic random stream keyed by ``(seed, stream_id)``.
+def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by ``(seed, stream_id)``, each an unsigned 64-bit integer.
 
-    Two streams built from the same key produce bit-identical sequences;
-    streams with distinct ``stream_id`` are statistically independent.
-    The Philox counter advances as draws are consumed.
+    Two generators built from the same key produce bit-identical sequences;
+    generators with distinct ``stream_id`` are statistically independent.
     """
-
-    __slots__ = ("seed", "stream_id", "_gen")
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            value = int(value)
-            if not 0 <= value < _UINT64_MAX:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+    for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if not 0 <= int(value) < UINT64_LIMIT:
+            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {int(value)}")
+    # an explicit uint64 array: NumPy turns the list [2**64 - 1, 5] into the key [0, 5]
+    key = np.array([int(seed), int(stream_id)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_standard_normal(stream: RngStream, size=None):
+def sample_standard_normal(stream: np.random.Generator, size=None):
     """Standard normal draw(s)."""
-    return stream.generator.standard_normal(size=size)
+    return stream.standard_normal(size=size)
 
 
 def _bounds(values: np.ndarray, message: str, zero_ok: bool = False):
@@ -73,7 +63,7 @@ def _bounds(values: np.ndarray, message: str, zero_ok: bool = False):
     return low, high
 
 
-def sample_gamma(stream: RngStream, shape, scale, size=None):
+def sample_gamma(stream: np.random.Generator, shape, scale, size=None):
     """Gamma(shape, scale) draw(s), valid for every shape > 0.
 
     Shapes >= 1 sample directly (Marsaglia-Tsang under the hood). Shapes < 1
@@ -89,21 +79,20 @@ def sample_gamma(stream: RngStream, shape, scale, size=None):
     scale_arr = np.asarray(scale, dtype=np.float64)
     low, _ = _bounds(shape_arr, "gamma shape must be finite and > 0")
     _bounds(scale_arr, "gamma scale must be finite and > 0")
-    gen = stream.generator
     if low >= 1.0:
-        return gen.standard_gamma(shape_arr, size=size) * scale_arr
+        return stream.standard_gamma(shape_arr, size=size) * scale_arr
     small = shape_arr < 1.0
-    draw = gen.standard_gamma(np.where(small, shape_arr + 1.0, shape_arr), size=size)
+    draw = stream.standard_gamma(np.where(small, shape_arr + 1.0, shape_arr), size=size)
     if np.ndim(draw) == 0:
-        return draw * np.exp(np.log1p(-gen.random()) / shape_arr) * scale_arr
-    u = gen.random(size=draw.shape)
+        return draw * np.exp(np.log1p(-stream.random()) / shape_arr) * scale_arr
+    u = stream.random(size=draw.shape)
     at = np.flatnonzero(np.broadcast_to(small, draw.shape))
     correction = np.exp(np.log1p(-u.take(at)) / np.broadcast_to(shape_arr, draw.shape).take(at))
     draw.put(at, draw.take(at) * correction)
     return draw * scale_arr
 
 
-def sample_poisson(stream: RngStream, rate, size=None):
+def sample_poisson(stream: np.random.Generator, rate, size=None):
     """Poisson(rate) draw(s); rate 0 returns 0 deterministically."""
     rate_arr = np.asarray(rate, dtype=np.float64)
     _, high = _bounds(rate_arr, "poisson rate must be finite and >= 0", zero_ok=True)
@@ -112,10 +101,10 @@ def sample_poisson(stream: RngStream, rate, size=None):
             f"poisson rate above {MAX_POISSON_RATE:.0e}: the CIR noncentrality is out of "
             "range; it grows like 1/gamma^2 as the vol-of-vol gamma goes to 0"
         )
-    return stream.generator.poisson(rate_arr, size=size)
+    return stream.poisson(rate_arr, size=size)
 
 
-def sample_noncentral_chisq(stream: RngStream, dof: float, noncentrality, size=None):
+def sample_noncentral_chisq(stream: np.random.Generator, dof: float, noncentrality, size=None):
     """Noncentral chi-squared draw(s) via the Poisson mixture of gammas.
 
     ``dof`` is one finite number > 0; ``noncentrality`` is a number or one

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import validate
-from .sampling import RngStream, sample_noncentral_chisq, sample_standard_normal
+from .sampling import rng_stream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
 
@@ -81,10 +80,10 @@ class PathSet:
     index 0) and ``s0`` is the spot they scale, so ``replace(paths, s0=x)`` is
     the same path set at spot x. ``columns`` holds the grid index of each
     stored column, increasing and ending at M; None means every index 0..M.
-    ``column(k)`` finds grid index k among them. Arrays are Fortran-ordered so
-    per-date cross sections (columns) are contiguous for the backward
-    induction sweep. ``variance_2`` is present only for the double Heston
-    model.
+    ``positions`` maps each of them to its column, as ``column(k)`` reads it.
+    Arrays are Fortran-ordered so per-date cross sections (columns) are
+    contiguous for the backward induction sweep. ``variance_2`` is present
+    only for the double Heston model.
     """
 
     grid: TimeGrid
@@ -93,14 +92,16 @@ class PathSet:
     variance_1: np.ndarray
     variance_2: np.ndarray | None = None
     columns: tuple[int, ...] | None = None
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.columns = stored_columns(self.grid, self.columns)
+        self.positions = {k: j for j, k in enumerate(self.columns)}
 
     def column(self, k: int) -> int:
         """Position of grid index ``k`` among the stored columns."""
-        j = bisect_left(self.columns, k)
-        if j == len(self.columns) or self.columns[j] != k:
+        j = self.positions.get(k)
+        if j is None:
             raise ValueError(f"grid index {k} is not stored: the path set holds "
                              f"{len(self.columns)} of the grid's {self.grid.steps + 1} indices")
         return j
@@ -153,7 +154,7 @@ def cir_transition_params(kappa, gamma, nu_bar, dt, v_current) -> CirTransition:
     return CirTransition(c_bar=c_bar, kappa_bar=kappa_bar, dof=dof)
 
 
-def cir_exact_step(stream: RngStream, transition: CirTransition):
+def cir_exact_step(stream: np.random.Generator, transition: CirTransition):
     """One exact CIR step: scaled noncentral chi-squared draw(s), always >= 0."""
     return transition.c_bar * sample_noncentral_chisq(stream, transition.dof, transition.kappa_bar)
 
@@ -185,13 +186,13 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
 # ---------------------------------------------------------------------------
 # Per-block kernels, one per scheme. Each fills its block's row slice of the
 # growth matrix and of one variance matrix per factor, from one keyed stream.
-# ``store`` maps each stored grid index to its column.
+# ``positions`` is the path set's map from each stored grid index to its column.
 # ---------------------------------------------------------------------------
 
-def _start_block(factors, growth, variances, store):
+def _start_block(factors, growth, variances, positions):
     """Set the t=0 column of each row slice if stored; return the running state (x, v)."""
     count = growth.shape[0]
-    j = store.get(0)
+    j = positions.get(0)
     if j is not None:
         growth[:, j] = 1.0
         for var, f in zip(variances, factors):
@@ -201,12 +202,12 @@ def _start_block(factors, growth, variances, store):
     return x, v
 
 
-def _aes_block(params, grid, stream, growth, variances, store):
+def _aes_block(params, grid, stream, growth, variances, positions):
     count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
-    x, v = _start_block(factors, growth, variances, store)
+    x, v = _start_block(factors, growth, variances, positions)
     term = np.empty(count)
     for i in range(grid.steps):
         v_next = [
@@ -226,19 +227,19 @@ def _aes_block(params, grid, stream, growth, variances, store):
             np.sqrt(term, out=term)
             x += np.multiply(term, zj, out=term)
         v = v_next
-        j = store.get(i + 1)
+        j = positions.get(i + 1)
         if j is not None:
             for var, vj in zip(variances, v):
                 var[:, j] = vj
             np.exp(x, out=growth[:, j])
 
 
-def _euler_block(params, grid, stream, growth, variances, store):
+def _euler_block(params, grid, stream, growth, variances, positions):
     count = growth.shape[0]
     dt = grid.dt
     factors = params.factors()
     ortho = [math.sqrt(1.0 - f.rho**2) for f in factors]
-    x, v = _start_block(factors, growth, variances, store)
+    x, v = _start_block(factors, growth, variances, positions)
     mixed, scale = np.empty(count), np.empty(count)
     roots = [np.empty(count) for _ in factors]
     for i in range(grid.steps):
@@ -257,7 +258,7 @@ def _euler_block(params, grid, stream, growth, variances, store):
             mixed += np.multiply(zxj, o, out=scale)
             x += np.multiply(root, mixed, out=scale)
         v = v_next
-        j = store.get(i + 1)
+        j = positions.get(i + 1)
         if j is not None:
             for var, vj in zip(variances, v):
                 var[:, j] = vj
@@ -301,14 +302,14 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
         raise ValueError("n_paths must be >= 1")
     n_paths = int(n_paths)
     columns = stored_columns(grid, columns)
-    store = {k: j for j, k in enumerate(columns)}
     growth = np.empty((n_paths, len(columns)), order="F")
     variances = tuple(np.empty((n_paths, len(columns)), order="F") for _ in params.factors())
+    paths = PathSet(grid, params.s0, growth, *variances, columns=columns)
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         rows = slice(start, start + BLOCK_SIZE)
-        _BLOCK_KERNELS[scheme](params, grid, RngStream(seed, block_id),
-                               growth[rows], tuple(var[rows] for var in variances), store)
-    return PathSet(grid, params.s0, growth, *variances, columns=columns)
+        _BLOCK_KERNELS[scheme](params, grid, rng_stream(seed, block_id),
+                               growth[rows], tuple(var[rows] for var in variances), paths.positions)
+    return paths
 
 
 def dump_paths_csv(paths: PathSet, destination):

@@ -17,7 +17,7 @@ from aesmc.catalog import table_specs
 from aesmc.experiments import run_experiment, scaled
 from aesmc.lsm import ExerciseSchedule, lsm_price
 from aesmc.models import PutPayoff, preset
-from aesmc.sampling import RngStream, sample_noncentral_chisq
+from aesmc.sampling import rng_stream, sample_noncentral_chisq
 from aesmc.simulation import (
     BLOCK_SIZE,
     TimeGrid,
@@ -222,7 +222,7 @@ def test_criterion_6_sampler_moments(acceptance):
     for i, dof in enumerate((0.5, 1.0525, 3.9506)):
         for j, lam in enumerate((0.0, 2.5, 50.0)):
             draws = sample_noncentral_chisq(
-                RngStream(9100 + 10 * i + j, 0), dof, lam, size=n
+                rng_stream(9100 + 10 * i + j, 0), dof, lam, size=n
             )
             se_mean, se_var = ncx2_moment_se(dof, lam, n)
             mean_dev = abs(draws.mean() - (dof + lam)) / (3 * se_mean)
@@ -231,7 +231,7 @@ def test_criterion_6_sampler_moments(acceptance):
             ok &= mean_dev <= 1.0 and var_dev <= 1.0
     ks_ps = []
     for i, dof in enumerate((0.5, 1.0525, 3.9506)):
-        x = sample_noncentral_chisq(RngStream(9200 + i, 0), dof, 0.0, size=100_000)
+        x = sample_noncentral_chisq(rng_stream(9200 + i, 0), dof, 0.0, size=100_000)
         ks_ps.append(stats.kstest(x, "gamma", args=(dof / 2.0, 0.0, 2.0)).pvalue)
     ok &= min(ks_ps) > 0.01
     acceptance("criterion 6: noncentral chi-squared moment identities and KS",
@@ -246,7 +246,7 @@ def test_criterion_7_cir_exactness(acceptance):
     for label, params, seed in (("eq-feller", EQ4, 9301), ("eq-nonfeller", EQ5, 9302)):
         t = cir_transition_params(params.kappa, params.gamma, params.nu_bar, 0.25,
                                   np.full(n, params.v0))
-        draws = cir_exact_step(RngStream(seed, 0), t)
+        draws = cir_exact_step(rng_stream(seed, 0), t)
         mean, var = cir_conditional_moments(params.kappa, params.gamma, params.nu_bar, 0.25, params.v0)
         kbar = float(np.asarray(t.kappa_bar)[0])
         se_mean, se_var = ncx2_moment_se(t.dof, kbar, n)
@@ -275,7 +275,7 @@ def test_criterion_8_martingale(acceptance):
 def test_criterion_9_lsm_structural(small_paths, acceptance):
     payoff = PutPayoff(100.0)
     grid = small_paths.grid
-    every = ExerciseSchedule.every_step(grid)
+    every = ExerciseSchedule.nearest(grid, grid.steps)
 
     nested = [ExerciseSchedule(grid, (grid.steps,)),
               ExerciseSchedule.nearest(grid, 5),

@@ -157,6 +157,48 @@ def test_s0_flag_is_refused(command, capsys):
     assert "unrecognized arguments: --s0 97" in capsys.readouterr().err
 
 
+def _refuse_simulating(monkeypatch):
+    """Make every simulation the CLI could start fail the test."""
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    from aesmc import cli, experiments
+    monkeypatch.setattr(experiments, "simulate", simulate)
+    monkeypatch.setattr(cli, "simulate", simulate)
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("price", ["--strike", "-5"], "strike must be finite and > 0, got -5.0"),
+    ("bench", ["--strike", "nan"], "strike must be finite and > 0, got nan"),
+    ("price", ["--maturity", "0"], "maturity must be finite and > 0, got 0.0"),
+    ("price", ["--seed", "-1"], "base_seed -1 puts some run's seed"),
+    ("price", ["--seed", str(2**64 - 1), "--runs", "2"], f"base_seed {2**64 - 1} puts some run's seed"),
+    ("tables", ["--id", "1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
+], ids=["price-strike", "bench-strike", "price-maturity", "price-seed", "price-last-run-seed",
+        "tables-seed"])
+def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, tmp_path,
+                                                        monkeypatch, capsys):
+    _refuse_simulating(monkeypatch)
+    model = [] if command == "tables" else ["--preset", "feller-violating", "--steps", "2",
+                                            "--paths", "1000"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *model, *flags, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "bench", "paths"])
+def test_inline_model_without_spot_names_the_spot_flag(command, monkeypatch, capsys):
+    _refuse_simulating(monkeypatch)
+    argv = [command, *INLINE_HESTON[:2], *INLINE_HESTON[4:]]
+    assert "--spot" in INLINE_HESTON[2:4] and "--spot" not in argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "an inline --model needs --spot" in err and "field(s): s0" not in err
+
+
 def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(VARY_SPOT_CONFIG)

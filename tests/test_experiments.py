@@ -68,6 +68,33 @@ def test_spec_validation_collects_errors():
         smoke_spec(values=(90.0, 0.0))
 
 
+@pytest.mark.parametrize("overrides, named", [
+    (dict(strike=-5.0), "strike must be finite and > 0, got -5.0"),
+    (dict(strike=0.0), "strike must be finite and > 0, got 0.0"),
+    (dict(strike=math.inf), "strike must be finite and > 0, got inf"),
+    (dict(strike=math.nan), "strike must be finite and > 0, got nan"),
+    (dict(maturity=0.0), "maturity must be finite and > 0, got 0.0"),
+    (dict(maturity=-0.25), "maturity must be finite and > 0, got -0.25"),
+    (dict(maturity=math.nan), "maturity must be finite and > 0, got nan"),
+    (dict(base_seed=-1), "base_seed -1 puts some run's seed outside 0..2"),
+    (dict(base_seed=2**64 - 1, runs=2), "base_seed 18446744073709551615 puts some run's seed"),
+    (dict(base_seed=2**64), "base_seed 18446744073709551616 puts some run's seed"),
+], ids=["strike-negative", "strike-zero", "strike-inf", "strike-nan", "maturity-zero",
+        "maturity-negative", "maturity-nan", "seed-negative", "last-run-seed-past-2**64",
+        "seed-2**64"])
+def test_spec_refuses_bad_strike_maturity_and_seed(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        smoke_spec(**overrides)
+
+
+def test_spec_seed_range_edges_and_strike_of_strike_experiments():
+    # the last run's seed may be 2**64 - 1 itself
+    assert smoke_spec(base_seed=2**64 - 2, runs=2).base_seed == 2**64 - 2
+    assert smoke_spec(base_seed=0).base_seed == 0
+    # a strike experiment prices its values as strikes and never reads ``strike``
+    assert smoke_spec(vary="strike", strike=-5.0).cases()[0] == (EQ5.params.s0, 90.0)
+
+
 def test_spec_refuses_more_dates_than_steps():
     with pytest.raises(ValueError, match="date count 5 exceeds n_steps 4"):
         smoke_spec(schedule=5)

@@ -60,7 +60,7 @@ def test_golden_paths_and_price(scheme, name, digests, price):
     paths = simulate(scheme, p.params, grid, N_PATHS, SEED)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances()))
     assert got == digests
-    result = lsm_price(paths, PutPayoff(p.strike), ExerciseSchedule.every_step(grid), p.params.r)
+    result = lsm_price(paths, PutPayoff(p.strike), ExerciseSchedule.nearest(grid, grid.steps), p.params.r)
     assert repr(result.price) == price
 
 

@@ -34,7 +34,7 @@ def eq5_paths():
 
 def test_schedule_invariants():
     grid = TimeGrid(0.25, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t=0 is not an exercise date"):
         ExerciseSchedule(grid, (0, 5, 10))          # t=0 excluded
     with pytest.raises(ValueError):
         ExerciseSchedule(grid, (5, 5, 10))          # strictly increasing
@@ -46,12 +46,24 @@ def test_schedule_invariants():
     assert len(s.exercise_indices) == 3
 
 
+@pytest.mark.parametrize("indices", [
+    (3, 2, 6), (2, 2, 6), (2, 7), (-1, 6), (1, 2), (),
+], ids=["unsorted", "duplicate", "past-maturity", "negative", "maturity-missing", "empty"])
+def test_schedule_and_simulate_share_one_index_rule(indices):
+    grid = TimeGrid(0.25, 6)
+    with pytest.raises(ValueError) as by_schedule:
+        ExerciseSchedule(grid, indices)
+    with pytest.raises(ValueError) as by_simulate:
+        simulate("aes", EQ5, grid, 10, seed=1, columns=indices)
+    assert str(by_schedule.value) == str(by_simulate.value)
+
+
 def test_every_step_and_evenly_spaced():
     grid = TimeGrid(0.25, 20)
-    assert ExerciseSchedule.every_step(grid).exercise_indices == tuple(range(1, 21))
+    assert ExerciseSchedule.nearest(grid, grid.steps).exercise_indices == tuple(range(1, 21))
     assert ExerciseSchedule.nearest(grid, 5).exercise_indices == (4, 8, 12, 16, 20)
     for steps in (1, 2, 3, 12, 60, 120, 750):
-        indices = ExerciseSchedule.every_step(TimeGrid(0.25, steps)).exercise_indices
+        indices = ExerciseSchedule.nearest(TimeGrid(0.25, steps), steps).exercise_indices
         assert indices == tuple(range(1, steps + 1))
 
 
@@ -177,7 +189,7 @@ def test_monotonicity_in_exercise_rights(eq5_paths):
         ExerciseSchedule(grid, (grid.steps,)),
         ExerciseSchedule.nearest(grid, 5),
         ExerciseSchedule.nearest(grid, 10),
-        ExerciseSchedule.every_step(grid),
+        ExerciseSchedule.nearest(grid, grid.steps),
     ]
     results = [lsm_price(eq5_paths, payoff, s, EQ5.r) for s in nested]
     for a, b in zip(results, results[1:]):
@@ -186,7 +198,7 @@ def test_monotonicity_in_exercise_rights(eq5_paths):
 
 def test_price_bounds(eq5_paths):
     payoff = PutPayoff(100.0)
-    res = lsm_price(eq5_paths, payoff, ExerciseSchedule.every_step(eq5_paths.grid), EQ5.r)
+    res = lsm_price(eq5_paths, payoff, ExerciseSchedule.nearest(eq5_paths.grid, eq5_paths.grid.steps), EQ5.r)
     assert 0.0 <= res.price <= 100.0
     intrinsic = max(100.0 - EQ5.s0, 0.0)
     assert intrinsic <= res.price + 3 * res.std_error
@@ -196,7 +208,7 @@ def test_price_bounds(eq5_paths):
 def test_price_is_the_mean_of_per_path_discounted_cashflows(eq5_paths, dates):
     # the discount table lookup equals a per-path exp(-r dt j), bit for bit
     grid = eq5_paths.grid
-    schedule = ExerciseSchedule.every_step(grid) if dates is None else ExerciseSchedule.nearest(grid, dates)
+    schedule = ExerciseSchedule.nearest(grid, grid.steps) if dates is None else ExerciseSchedule.nearest(grid, dates)
     payoff = PutPayoff(100.0)
     cashflow, exercise_index = backward_induction(eq5_paths, payoff, schedule, EQ5.r)
     discounted = np.exp(-EQ5.r * grid.dt * exercise_index) * cashflow
@@ -205,7 +217,7 @@ def test_price_is_the_mean_of_per_path_discounted_cashflows(eq5_paths, dates):
 
 def test_currency_scaling_invariance(eq5_paths):
     # power-of-two currency rescale: identical exercise decisions, exact price scaling
-    schedule = ExerciseSchedule.every_step(eq5_paths.grid)
+    schedule = ExerciseSchedule.nearest(eq5_paths.grid, eq5_paths.grid.steps)
     cash1, idx1 = backward_induction(eq5_paths, PutPayoff(100.0), schedule, EQ5.r)
     scaled = replace(eq5_paths, s0=1024 * eq5_paths.s0)
     cash2, idx2 = backward_induction(scaled, PutPayoff(100.0 * 1024.0), schedule, EQ5.r)
@@ -217,7 +229,7 @@ def test_currency_scaling_invariance(eq5_paths):
 
 
 def test_determinism_identical_inputs(eq5_paths):
-    schedule = ExerciseSchedule.every_step(eq5_paths.grid)
+    schedule = ExerciseSchedule.nearest(eq5_paths.grid, eq5_paths.grid.steps)
     a = lsm_price(eq5_paths, PutPayoff(100.0), schedule, EQ5.r)
     b = lsm_price(eq5_paths, PutPayoff(100.0), schedule, EQ5.r)
     assert a.price == b.price and a.std_error == b.std_error
@@ -225,7 +237,7 @@ def test_determinism_identical_inputs(eq5_paths):
 
 def test_empty_regression_dates_are_skipped(eq5_paths):
     # strike far below every simulated price: never in the money, price 0
-    schedule = ExerciseSchedule.every_step(eq5_paths.grid)
+    schedule = ExerciseSchedule.nearest(eq5_paths.grid, eq5_paths.grid.steps)
     res = lsm_price(eq5_paths, PutPayoff(1e-6), schedule, EQ5.r)
     assert res.price == 0.0
 
@@ -247,7 +259,7 @@ def test_path_at_the_strike_is_out_of_the_money(monkeypatch):
 
     monkeypatch.setattr(lsm, "regress_continuation", counting)
     cashflow, exercise_index = backward_induction(paths, PutPayoff(100.0),
-                                                  ExerciseSchedule.every_step(grid), 0.0)
+                                                  ExerciseSchedule.nearest(grid, grid.steps), 0.0)
     (s,) = regressed
     assert s.size == 9                        # path 1 and paths 2..9; not path 0
     assert s[0] == np.nextafter(1.0, 0.0)
@@ -255,7 +267,7 @@ def test_path_at_the_strike_is_out_of_the_money(monkeypatch):
 
 
 def test_schedule_grid_mismatch_rejected(eq5_paths):
-    other = ExerciseSchedule.every_step(TimeGrid(0.25, 10))
+    other = ExerciseSchedule.nearest(TimeGrid(0.25, 10), 10)
     with pytest.raises(ValueError, match="grid"):
         lsm_price(eq5_paths, PutPayoff(100.0), other, EQ5.r)
 
@@ -283,6 +295,6 @@ def test_sweep_refuses_a_date_not_stored():
 
 def test_double_heston_pricing_and_basis_toggle():
     paths = simulate("aes", ZHANG, TimeGrid(0.25, 6), 20_000, seed=556)
-    schedule = ExerciseSchedule.every_step(paths.grid)
+    schedule = ExerciseSchedule.nearest(paths.grid, paths.grid.steps)
     full = lsm_price(paths, PutPayoff(61.9), schedule, ZHANG.r)
     assert 0.0 < full.price < 61.9

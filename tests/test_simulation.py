@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aesmc.models import ParameterError, preset
-from aesmc.sampling import RngStream, sample_standard_normal
+from aesmc.sampling import rng_stream, sample_standard_normal
 from aesmc.simulation import (
     BLOCK_SIZE,
     cir_exact_step,
@@ -76,7 +76,7 @@ def test_cir_transition_rejects_bad_dt():
 def test_cir_exact_step_nonnegative_and_mean():
     n = 200_000
     t = cir_transition_params(1.15, 0.39, 0.0348, 0.0125, np.full(n, 0.0348))
-    draws = cir_exact_step(RngStream(101, 0), t)
+    draws = cir_exact_step(rng_stream(101, 0), t)
     assert draws.min() >= 0.0
     expected = t.c_bar * (t.dof + 72.690018158051093)
     se_mean, _ = ncx2_moment_se(t.dof, 72.690018158051093, n)
@@ -86,7 +86,7 @@ def test_cir_exact_step_nonnegative_and_mean():
 def test_cir_giant_step_matches_closed_form_moments():
     n = 200_000
     t = cir_transition_params(1.15, 0.39, 0.0348, 0.25, np.full(n, 0.0348))
-    draws = cir_exact_step(RngStream(102, 0), t)
+    draws = cir_exact_step(rng_stream(102, 0), t)
     mean, var = cir_conditional_moments(1.15, 0.39, 0.0348, 0.25, 0.0348)
     kbar = float(np.asarray(t.kappa_bar)[0])
     se_mean, se_var = ncx2_moment_se(t.dof, kbar, n)
@@ -183,7 +183,7 @@ def test_truncated_euler_with_shared_root_is_the_one_line_update():
     def reference(v, kappa, nu_bar, gamma, dt, z):
         return np.maximum(v + kappa * (nu_bar - v) * dt + gamma * np.sqrt(v * dt) * z, 0.0)
 
-    stream = RngStream(13)
+    stream = rng_stream(13)
     v = np.abs(sample_standard_normal(stream, size=1000)) * 0.05
     v[::7] = 0.0
     z = sample_standard_normal(stream, size=1000)
