@@ -34,10 +34,7 @@ from .models import DoubleHestonParams, HestonParams, check_values, preset
 
 TABLE_IDS = ("1", "2", "3", "4", "5", "6")
 FIGURE_IDS = ("fig1", "fig2", "fig3")
-
-
-def available_ids() -> tuple[str, ...]:
-    return TABLE_IDS + FIGURE_IDS
+IDS = TABLE_IDS + FIGURE_IDS
 
 
 # libyaml's safe loader when PyYAML was built with it: the same objects, parsed in C.
@@ -173,12 +170,14 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> lis
     """Run one table's experiments and write a CSV and a JSON report per experiment.
 
     ``table_id`` is a catalog id ('1'..'6') or the path of a table config file.
+    Every spec is built and checked before ``out_dir`` is created.
     """
+    specs = [_at_scale(spec, scale, runs, seed) for spec in table_specs(table_id)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for spec in table_specs(table_id):
-        report = run_experiment(_at_scale(spec, scale, runs, seed))
+    for spec in specs:
+        report = run_experiment(spec)
         written.extend(emit_report(report, out_dir / report.experiment))
     return written
 
@@ -192,13 +191,12 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     steps, and adds a ``-diff.csv`` per value. With ``reference.source:
     self-euler`` the reference prices come from an Euler grid of
     ``reference.n_steps`` steps (750 by default), priced by one
-    ``price_runs`` per maturity with base seed base_seed + 10_000.
+    ``price_runs`` per maturity with base seed base_seed + 10_000. Every
+    spec is built and checked before ``out_dir`` is created.
     """
     payload = load_config(fig_id)
     if payload.get("kind") != "figure":
         raise ValueError(f"config {fig_id!r} is not a figure config")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ref_cfg = payload.get("reference") or {}
     ref_steps = int(ref_cfg.get("n_steps", 750))
     # the reference experiment; each figure experiment differs from it only
@@ -211,24 +209,27 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     maturities = {d: d * period_years if period_years else ref_spec.maturity
                   for d in payload["date_counts"]}
 
-    ref_prices: dict[int, tuple[float, ...]] = {}
+    ref_specs = {}
     if ref_cfg.get("source") == "self-euler":
-        for maturity in dict.fromkeys(maturities.values()):
-            spec = replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000)
-            counts = [d for d, m in maturities.items() if m == maturity]
-            prices = price_runs(spec, [ExerciseSchedule.nearest(spec.grid(), d) for d in counts])[0]
-            ref_prices.update({d: tuple(float(row.mean()) for row in p) for d, p in zip(counts, prices)})
+        ref_specs = {maturity: replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000)
+                     for maturity in dict.fromkeys(maturities.values())}
+    specs = {(dates, scheme): replace(
+                 ref_spec, name=f"{payload['name']}-{scheme}-d{dates}",
+                 scheme="euler" if scheme == "euler2x" else scheme,
+                 n_steps=2 * dates if scheme == "euler2x" else dates, schedule=dates,
+                 maturity=maturity, reference_source=f"self-euler-m{ref_steps}")
+             for dates, maturity in maturities.items() for scheme in payload["schemes"]}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports: dict[tuple[int, str], ExperimentReport] = {}
-    for dates, maturity in maturities.items():
-        for scheme in payload["schemes"]:
-            reports[dates, scheme] = run_experiment(replace(
-                ref_spec, name=f"{payload['name']}-{scheme}-d{dates}",
-                scheme="euler" if scheme == "euler2x" else scheme,
-                n_steps=2 * dates if scheme == "euler2x" else dates, schedule=dates,
-                maturity=maturity, reference_prices=ref_prices.get(dates),
-                reference_source=f"self-euler-m{ref_steps}",
-            ))
+    ref_prices: dict[int, tuple[float, ...]] = {}
+    for maturity, spec in ref_specs.items():
+        counts = [d for d, m in maturities.items() if m == maturity]
+        prices = price_runs(spec, [ExerciseSchedule.nearest(spec.grid(), d) for d in counts])[0]
+        ref_prices.update({d: tuple(float(row.mean()) for row in p) for d, p in zip(counts, prices)})
+    reports: dict[tuple[int, str], ExperimentReport] = {
+        key: run_experiment(replace(spec, reference_prices=ref_prices.get(key[0])))
+        for key, spec in specs.items()}
 
     written: list[Path] = []
     for i, value in enumerate(ref_spec.values):

@@ -1,10 +1,10 @@
-"""Command line front end: price, bench, tables, paths.
+"""Command line front end: price, tables, paths.
 
 Every subcommand honors --seed and --out, runs in one process and is
-deterministic given its flags. ``price``, ``bench`` and ``paths`` turn their
-flags into one catalog entry, so a flag means what the same YAML key means in
-a config file. ``price`` and ``bench`` build the entry's spec with
-``catalog.experiment_from_entry``; ``paths`` reads only its model and maturity.
+deterministic given its flags. ``price`` and ``paths`` turn their flags into
+one catalog entry, so a flag means what the same YAML key means in a config
+file. ``price`` builds the entry's spec with ``catalog.experiment_from_entry``;
+``paths`` reads only its model and maturity.
 """
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog, experiments
 from .models import PRESETS
+from .sampling import UINT64_LIMIT
 from .simulation import SCHEMES, TimeGrid, dump_paths_csv, simulate
 
 # Model fields with one flag each; the model's s0 is set by --spot.
@@ -155,10 +156,10 @@ def cmd_tables(args, parser) -> int:
     sources = [args.config]
     if args.id:
         sources = [i.strip() for i in args.id.split(",")]
-        unknown = [i for i in sources if i not in catalog.available_ids()]
+        unknown = [i for i in sources if i not in catalog.IDS]
         if unknown:
             parser.error(f"unknown id(s) {', '.join(map(repr, unknown))}; "
-                         f"valid ids: {', '.join(catalog.available_ids())}")
+                         f"valid ids: {', '.join(catalog.IDS)}")
     try:
         for source in sources:
             run = catalog.run_figure if source in catalog.FIGURE_IDS else catalog.run_table
@@ -169,49 +170,13 @@ def cmd_tables(args, parser) -> int:
     return 0
 
 
-def cmd_bench(args, parser) -> int:
-    _refuse_below_one(args, parser, ("euler_steps", "dates"))
-    spec = _spec(args, parser)
-    aes_steps = spec.n_steps
-    euler_steps = args.euler_steps or 2 * aes_steps
-    try:  # both legs are checked before either runs
-        specs = [replace(spec, name=f"bench-{scheme}-m{steps}", scheme=scheme, n_steps=steps,
-                         schedule=args.dates or aes_steps)
-                 for scheme, steps in (("aes", aes_steps), ("euler", euler_steps))]
-    except ValueError as exc:
-        parser.error(str(exc))
-    cases = []
-    for leg in specs:
-        case = experiments.run_experiment(leg).cases[0]
-        cases.append(case)
-        print(f"{leg.scheme:6s} M={leg.n_steps:<4d} price={case.mean_price:.6f} run_std={case.run_std:.6f} "
-              f"time={case.elapsed_s:.3f}s mem={case.memory_bytes}")
-    aes_case, euler_case = cases
-    time_ratio = euler_case.elapsed_s / aes_case.elapsed_s
-    mem_ratio = euler_case.memory_bytes / aes_case.memory_bytes
-    # relative to an AES price of 0 the gap is undefined
-    rel_gap = (abs(euler_case.mean_price - aes_case.mean_price) / aes_case.mean_price
-               if aes_case.mean_price else None)
-    print(f"euler/aes time ratio   {time_ratio:.3f}")
-    print(f"euler/aes memory ratio {mem_ratio:.3f}")
-    print(f"price gap |e-a|/a      {'n/a' if rel_gap is None else f'{rel_gap:.6f}'}")
-    if args.out:
-        payload = {
-            "aes": {"steps": aes_steps, "price": aes_case.mean_price,
-                    "elapsed_s": aes_case.elapsed_s, "memory_bytes": aes_case.memory_bytes},
-            "euler": {"steps": euler_steps, "price": euler_case.mean_price,
-                      "elapsed_s": euler_case.elapsed_s, "memory_bytes": euler_case.memory_bytes},
-            "time_ratio": time_ratio, "memory_ratio": mem_ratio, "rel_gap": rel_gap,
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    return 0
-
-
 def cmd_paths(args, parser) -> int:
     # paths price nothing, so they need the entry's model and maturity but no strike
     _refuse_below_one(args, parser, ("steps", "paths"))
     try:
         model, _, maturity = catalog._model_from_entry(_require_spot(_entry_keys(vars(args))))
+        if not 0 <= args.seed < UINT64_LIMIT:
+            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     except ValueError as exc:
         parser.error(str(exc))
     paths = simulate(args.scheme, model, TimeGrid(maturity, args.steps), args.paths, args.seed)
@@ -249,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tables", formatter_class=fmt,
                        help="reproduce a source table or figure dataset")
     t.add_argument("--id", default=None,
-                   help=f"comma list of: {', '.join(catalog.available_ids())}")
+                   help=f"comma list of: {', '.join(catalog.IDS)}")
     t.add_argument("--config", default=None, help="run experiments from a YAML config file instead")
     t.add_argument("--scale", type=int, default=10,
                    help="divide paper n_paths by this (1 = full scale)")
@@ -257,18 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None, help="override base seed")
     t.add_argument("--out", default="reports", help="output directory")
     t.set_defaults(func=cmd_tables, subparser=t)
-
-    b = sub.add_parser("bench", formatter_class=fmt,
-                       help="compare AES vs Euler accuracy/time/memory")
-    _add_model_flags(b)
-    b.add_argument("--steps", type=int, default=20, help="AES time steps M")
-    b.add_argument("--euler-steps", type=int, default=None, help="Euler steps (default 2*M)")
-    b.add_argument("--dates", type=int, default=None, help="exercise dates (default M)")
-    b.add_argument("--paths", type=int, default=100_000)
-    b.add_argument("--runs", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", default=None, help="write a JSON summary here")
-    b.set_defaults(func=cmd_bench, subparser=b)
 
     d = sub.add_parser("paths", formatter_class=fmt, help="dump simulated paths as CSV")
     _add_model_flags(d)

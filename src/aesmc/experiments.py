@@ -253,10 +253,3 @@ def emit_report(reports: ExperimentReport | list[ExperimentReport], stem) -> tup
     payload = [dataclasses.asdict(r) for r in reports] if many else dataclasses.asdict(reports)
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
-
-
-def load_report_json(path) -> ExperimentReport:
-    """The report of a one-report JSON file, as ``emit_report`` writes it for a table."""
-    payload = json.loads(Path(path).read_text())
-    return ExperimentReport(**{**payload, "schedule_indices": tuple(payload["schedule_indices"]),
-                               "cases": [CaseResult(**c) for c in payload["cases"]]})

@@ -7,8 +7,8 @@ import yaml
 
 from aesmc import experiments
 from aesmc.catalog import (
+    IDS,
     YAML_LOADER,
-    available_ids,
     experiment_from_entry,
     load_config,
     run_figure,
@@ -22,12 +22,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
 
 
 def test_available_ids():
-    assert available_ids() == ("1", "2", "3", "4", "5", "6", "fig1", "fig2", "fig3")
+    assert IDS == ("1", "2", "3", "4", "5", "6", "fig1", "fig2", "fig3")
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml: "
                     "load_config uses SafeLoader itself, so there is nothing to compare")
-@pytest.mark.parametrize("config_id", available_ids())
+@pytest.mark.parametrize("config_id", IDS)
 def test_yaml_loaders_agree(config_id):
     assert YAML_LOADER is yaml.CSafeLoader
     name = f"{config_id}.yaml" if config_id.startswith("fig") else f"table{config_id}.yaml"

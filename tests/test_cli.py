@@ -97,16 +97,6 @@ def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
     assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--dates", "--euler-steps"])
-def test_bench_rejects_nonpositive_dates_and_euler_steps(flag, capsys):
-    argv = ["bench", "--preset", "feller-violating", "--steps", "2",
-            "--paths", "1000", "--runs", "1", flag, "0"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
-
-
 def test_price_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(VARY_SPOT_CONFIG)
@@ -149,7 +139,7 @@ def test_spot_is_the_only_spot_flag(tmp_path, capsys):
     assert from_config == flags
 
 
-@pytest.mark.parametrize("command", ["bench", "paths"])
+@pytest.mark.parametrize("command", ["paths"])
 def test_s0_flag_is_refused(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--preset", "feller-violating", "--s0", "97"])
@@ -169,25 +159,32 @@ def _refuse_simulating(monkeypatch):
 
 @pytest.mark.parametrize("command, flags, named", [
     ("price", ["--strike", "-5"], "strike must be finite and > 0, got -5.0"),
-    ("bench", ["--strike", "nan"], "strike must be finite and > 0, got nan"),
+    ("price", ["--strike", "nan"], "strike must be finite and > 0, got nan"),
     ("price", ["--maturity", "0"], "maturity must be finite and > 0, got 0.0"),
     ("price", ["--seed", "-1"], "base_seed -1 puts some run's seed"),
     ("price", ["--seed", str(2**64 - 1), "--runs", "2"], f"base_seed {2**64 - 1} puts some run's seed"),
+    ("paths", ["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
     ("tables", ["--id", "1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
-], ids=["price-strike", "bench-strike", "price-maturity", "price-seed", "price-last-run-seed",
-        "tables-seed"])
+    ("tables", ["--id", "1", "--scale", "0"], "scale must be >= 1"),
+    ("tables", ["--id", "fig1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
+    # the figure's own runs fit, but its reference runs at base_seed + 10_000 do not
+    ("tables", ["--id", "fig1", "--seed", str(2**64 - 10_000)], f"base_seed {2**64} puts some run's seed"),
+], ids=["price-strike", "price-strike-nan", "price-maturity", "price-seed", "price-last-run-seed",
+        "paths-seed", "tables-seed", "tables-scale", "tables-fig1-seed", "tables-fig1-reference-seed"])
 def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, tmp_path,
                                                         monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
     model = [] if command == "tables" else ["--preset", "feller-violating", "--steps", "2",
                                             "--paths", "1000"]
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([command, *model, *flags, "--out", str(tmp_path / "out")])
+        main([command, *model, *flags, "--out", str(out)])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["price", "bench", "paths"])
+@pytest.mark.parametrize("command", ["price", "paths"])
 def test_inline_model_without_spot_names_the_spot_flag(command, monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
     argv = [command, *INLINE_HESTON[:2], *INLINE_HESTON[4:]]
@@ -273,7 +270,7 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
         main(["tables", "--config", str(cfg), "--out", str(reports)])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
-    assert not reports.exists() or not any(reports.iterdir())
+    assert not reports.exists()
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -401,44 +398,20 @@ def test_paths_need_no_strike(capsys):
     assert without_strike.splitlines()[0] == "path,step,asset,var1"
 
 
-def test_bench_checks_both_legs_before_running(capsys):
-    argv = ["bench", "--preset", "feller-violating", "--steps", "4", "--euler-steps", "3",
-            "--paths", "100", "--runs", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "date count 4 exceeds n_steps 3" in err
-
-
-def test_bench_zero_aes_price_has_no_gap(tmp_path, capsys):
-    # far out of the money every path prices 0
-    out = tmp_path / "bench.json"
-    argv = ["bench", "--preset", "feller-violating", "--spot", "400", "--steps", "2",
-            "--paths", "200", "--runs", "1", "--out", str(out)]
-    assert main(argv) == 0
-    assert "price gap |e-a|/a      n/a" in capsys.readouterr().out
-    payload = json.loads(out.read_text())
-    assert payload["aes"]["price"] == 0.0 and payload["rel_gap"] is None
-
-
-def test_bench_smoke(capsys):
-    argv = ["bench", "--preset", "feller-violating", "--steps", "4",
-            "--paths", "2000", "--runs", "1", "--seed", "0", "--dates", "4"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "memory ratio" in out
-    # euler runs 2*M steps by default: memory (2M+1)/(M+1)
-    ratio = [l for l in out.splitlines() if "memory ratio" in l][0].split()[-1]
-    assert float(ratio) == pytest.approx(9 / 5)
-
-
-@pytest.mark.parametrize("command", ["price", "tables", "bench", "paths"])
+@pytest.mark.parametrize("command", ["price", "tables", "paths"])
 def test_help_exits_cleanly(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+def test_bench_is_not_a_command(capsys):
+    # the AES(M) vs Euler(2M) comparison is `tables --id fig3`
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--preset", "feller-violating"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # Golden CLI outputs at pinned seeds. A refactor of how flags become a
@@ -493,22 +466,6 @@ def test_golden_price_json(flags, expected, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload.pop("elapsed_s") > 0.0
     assert payload == expected
-
-
-def test_golden_bench_json(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    argv = ["bench", "--preset", "feller-violating", "--steps", "4", "--paths", "2000",
-            "--runs", "2", "--seed", "0", "--out", str(out)]
-    assert main(argv) == 0
-    payload = json.loads(out.read_text())
-    for scheme in ("aes", "euler"):
-        assert payload[scheme].pop("elapsed_s") > 0.0
-    assert payload.pop("time_ratio") > 0.0
-    assert payload == {
-        "aes": {"steps": 4, "price": 3.25245605761107, "memory_bytes": 160000},
-        "euler": {"steps": 8, "price": 3.180470488728117, "memory_bytes": 288000},
-        "memory_ratio": 1.8, "rel_gap": 0.022132679921839236,
-    }
 
 
 # (paths flags, SHA-256 of the CSV file)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -8,9 +7,10 @@ import pytest
 from aesmc import experiments
 from aesmc.experiments import (
     CSV_COLUMNS,
+    CaseResult,
+    ExperimentReport,
     ExperimentSpec,
     emit_report,
-    load_report_json,
     run_experiment,
     scaled,
 )
@@ -245,27 +245,22 @@ def test_emit_csv_with_reference(tmp_path):
     assert all(row.split(",")[8] not in ("", None) for row in rows)
 
 
+def _load_report_json(path) -> ExperimentReport:
+    """The report of a one-report JSON file, as ``emit_report`` writes it for a table."""
+    payload = json.loads(path.read_text())
+    return ExperimentReport(**{**payload, "schedule_indices": tuple(payload["schedule_indices"]),
+                               "cases": [CaseResult(**c) for c in payload["cases"]]})
+
+
 def test_json_round_trip_identity(tmp_path):
     spec = smoke_spec(reference_prices=(10.0, 3.0, 1.0), reference_source="paper")
     report = run_experiment(spec)
     written = emit_report(report, tmp_path / "report")
     assert written == (tmp_path / "report.csv", tmp_path / "report.json")
     path = written[1]
-    assert load_report_json(path) == report
+    assert _load_report_json(path) == report
     case = json.loads(path.read_text())["cases"][0]
     assert case["sim_s"] > 0.0 and case["price_s"] > 0.0 and len(case["std_errors"]) == 1
-
-
-def test_json_reads_reports_without_timing_split(tmp_path):
-    payload = dataclasses.asdict(run_experiment(smoke_spec()))
-    for case in payload["cases"]:
-        for key in ("sim_s", "price_s", "std_errors"):
-            del case[key]
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(payload))
-    old = load_report_json(path)
-    assert [c.sim_s for c in old.cases] == [0.0] * 3
-    assert [c.std_errors for c in old.cases] == [[]] * 3
 
 
 def test_json_contains_schedule_mapping(tmp_path):
