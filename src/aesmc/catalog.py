@@ -6,10 +6,10 @@ a table config, built-in or from a file, through ``run_experiment`` and
 writes one CSV and one JSON report per experiment.
 ``run_figure`` produces the data behind the relative-error/time/memory
 figures the same way: each (date count, scheme) is one experiment over all
-of the figure's spots, so every spot of a run prices the same paths. When
-the config asks for ``source: self-euler``, the reference prices come from a
-high-resolution Euler grid priced through ``price_runs`` once per maturity,
-and go into each experiment's ``reference_prices``.
+of the figure's spots, so every spot of a run prices the same paths. The
+reference prices come from a high-resolution Euler grid priced through
+``price_runs`` once per maturity, and go into each experiment's
+``reference_prices``.
 """
 from __future__ import annotations
 
@@ -23,11 +23,11 @@ import yaml
 from .experiments import (
     ExperimentReport,
     ExperimentSpec,
-    _csv_cell,
     emit_report,
     price_runs,
     run_experiment,
     scaled,
+    write_csv,
 )
 from .lsm import ExerciseSchedule
 from .models import DoubleHestonParams, HestonParams, check_values, preset
@@ -35,6 +35,8 @@ from .models import DoubleHestonParams, HestonParams, check_values, preset
 TABLE_IDS = ("1", "2", "3", "4", "5", "6")
 FIGURE_IDS = ("fig1", "fig2", "fig3")
 IDS = TABLE_IDS + FIGURE_IDS
+# A figure's reference runs use seeds base_seed + REFERENCE_SEED_OFFSET + r.
+REFERENCE_SEED_OFFSET = 10_000
 
 
 # libyaml's safe loader when PyYAML was built with it: the same objects, parsed in C.
@@ -42,7 +44,10 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(source) -> dict:
-    """Load a catalog id ('1'..'6', 'fig1'..'fig3') or a YAML file path."""
+    """Load a catalog id ('1'..'6', 'fig1'..'fig3') or a YAML file path.
+
+    A file that is not valid YAML is a ValueError that names it.
+    """
     source = str(source)
     if source in TABLE_IDS:
         name = f"table{source}.yaml"
@@ -50,12 +55,15 @@ def load_config(source) -> dict:
         name = f"{source}.yaml"
     else:
         with open(source) as fh:
-            return yaml.load(fh, Loader=YAML_LOADER)
+            try:
+                return yaml.load(fh, Loader=YAML_LOADER)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"config {source!r} is not valid YAML: {exc}") from None
     text = resources.files("aesmc.configs").joinpath(name).read_text()
     return yaml.load(text, Loader=YAML_LOADER)
 
 
-# Inline model kinds of a config entry ("double_heston" is accepted too).
+# Inline model kinds of a config entry.
 MODEL_KINDS = {"heston": HestonParams, "double-heston": DoubleHestonParams}
 # Keys every experiment entry must give.
 REQUIRED_KEYS = ("name", "scheme", "n_paths", "n_steps", "schedule", "vary", "values")
@@ -83,7 +91,7 @@ def _model_from_entry(entry: dict):
         inline = dict(entry["model"])
         kind = inline.pop("kind", None)
         default = HestonParams if model is None else type(model)
-        cls = default if kind is None else MODEL_KINDS.get(str(kind).replace("_", "-"))
+        cls = default if kind is None else MODEL_KINDS.get(str(kind))
         if cls is None:
             raise ValueError(f"unknown model kind {kind!r}")
         names = [f.name for f in fields(cls)]
@@ -153,11 +161,22 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
     )
 
 
+def table_entries(source) -> list[dict]:
+    """The entries of a table config (catalog id or file path): a nonempty list of mappings.
+
+    Any other config is a ValueError that names ``source``.
+    """
+    payload = load_config(source)
+    if not isinstance(payload, dict) or payload.get("kind", "table") != "table":
+        raise ValueError(f"config {str(source)!r} is not a table config")
+    entries = payload.get("experiments")
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"config {str(source)!r} needs 'experiments': a nonempty list of entries")
+    return entries
+
+
 def table_specs(table_id) -> list[ExperimentSpec]:
-    payload = load_config(table_id)
-    if payload.get("kind", "table") != "table":
-        raise ValueError(f"config {table_id!r} is not a table config")
-    return [experiment_from_entry(e) for e in payload["experiments"]]
+    return [experiment_from_entry(e) for e in table_entries(table_id)]
 
 
 def _at_scale(spec: ExperimentSpec, scale, runs, seed) -> ExperimentSpec:
@@ -166,7 +185,7 @@ def _at_scale(spec: ExperimentSpec, scale, runs, seed) -> ExperimentSpec:
     return spec if seed is None else replace(spec, base_seed=int(seed))
 
 
-def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
+def run_table(table_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
     """Run one table's experiments and write a CSV and a JSON report per experiment.
 
     ``table_id`` is a catalog id ('1'..'6') or the path of a table config file.
@@ -182,17 +201,17 @@ def run_table(table_id, scale=1, runs=None, seed=None, out_dir="reports") -> lis
     return written
 
 
-def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list[Path]:
+def run_figure(fig_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
     """Produce the data files behind one figure: a CSV and a JSON file per value.
 
     Each (date count, scheme) is one experiment over all of the figure's
     values. With ``period_weeks`` the maturity is the date count times the
     period, else the preset's. ``euler2x`` is Euler at twice the date count's
-    steps, and adds a ``-diff.csv`` per value. With ``reference.source:
-    self-euler`` the reference prices come from an Euler grid of
-    ``reference.n_steps`` steps (750 by default), priced by one
-    ``price_runs`` per maturity with base seed base_seed + 10_000. Every
-    spec is built and checked before ``out_dir`` is created.
+    steps, and adds a ``-diff.csv`` per value. The reference prices come
+    from an Euler grid of ``reference.n_steps`` steps (750 by default),
+    priced by one ``price_runs`` per maturity with base seed base_seed +
+    ``REFERENCE_SEED_OFFSET``. Every spec is built and checked before
+    ``out_dir`` is created.
     """
     payload = load_config(fig_id)
     if payload.get("kind") != "figure":
@@ -209,10 +228,13 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
     maturities = {d: d * period_years if period_years else ref_spec.maturity
                   for d in payload["date_counts"]}
 
-    ref_specs = {}
-    if ref_cfg.get("source") == "self-euler":
-        ref_specs = {maturity: replace(ref_spec, maturity=maturity, base_seed=ref_spec.base_seed + 10_000)
+    ref_seed = ref_spec.base_seed + REFERENCE_SEED_OFFSET
+    try:
+        ref_specs = {maturity: replace(ref_spec, maturity=maturity, base_seed=ref_seed)
                      for maturity in dict.fromkeys(maturities.values())}
+    except ValueError as exc:
+        raise ValueError(f"the reference runs of {payload['name']!r} use base_seed + "
+                         f"{REFERENCE_SEED_OFFSET}: {exc}") from None
     specs = {(dates, scheme): replace(
                  ref_spec, name=f"{payload['name']}-{scheme}-d{dates}",
                  scheme="euler" if scheme == "euler2x" else scheme,
@@ -228,7 +250,7 @@ def run_figure(fig_id, scale=1, runs=None, seed=None, out_dir="reports") -> list
         prices = price_runs(spec, [ExerciseSchedule.nearest(spec.grid(), d) for d in counts])[0]
         ref_prices.update({d: tuple(float(row.mean()) for row in p) for d, p in zip(counts, prices)})
     reports: dict[tuple[int, str], ExperimentReport] = {
-        key: run_experiment(replace(spec, reference_prices=ref_prices.get(key[0])))
+        key: run_experiment(replace(spec, reference_prices=ref_prices[key[0]]))
         for key, spec in specs.items()}
 
     written: list[Path] = []
@@ -248,18 +270,13 @@ def _emit_scheme_diff(reports, maturities, path: Path) -> Path:
     ``reports`` maps (date count, scheme) to a report of one case; the
     maturity column is left empty for date counts not in ``maturities``.
     """
-    lines = ["dates,maturity,aes_rel_error,euler2x_rel_error,err_diff,time_diff_s,mem_diff_bytes"]
+    rows = []
     for dates in sorted({d for d, _ in reports}):
         if (dates, "aes") not in reports or (dates, "euler2x") not in reports:
             continue
         aes, eul = reports[dates, "aes"].cases[0], reports[dates, "euler2x"].cases[0]
-        err_diff = (
-            eul.rel_error - aes.rel_error
-            if (eul.rel_error is not None and aes.rel_error is not None)
-            else None
-        )
-        cells = [dates, maturities.get(dates), aes.rel_error, eul.rel_error, err_diff,
-                 eul.elapsed_s - aes.elapsed_s, eul.memory_bytes - aes.memory_bytes]
-        lines.append(",".join(_csv_cell(c) for c in cells))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        rows.append([dates, maturities.get(dates), aes.rel_error, eul.rel_error,
+                     eul.rel_error - aes.rel_error, eul.elapsed_s - aes.elapsed_s,
+                     eul.memory_bytes - aes.memory_bytes])
+    header = "dates,maturity,aes_rel_error,euler2x_rel_error,err_diff,time_diff_s,mem_diff_bytes"
+    return write_csv(path, header.split(","), rows)

@@ -87,8 +87,7 @@ def _entry(args) -> dict:
     entry = {"name": args.command, "scheme": "aes", "schedule": "american", "vary": "spot",
              **_entry_keys({k: v for k, v in flags.items() if k not in args.given})}
     if getattr(args, "config", None):
-        payload = catalog.load_config(args.config)
-        entry.update(payload.get("experiments", [payload])[0])
+        entry.update(catalog.table_entries(args.config)[0])
         entry.pop("reference", None)
     given = _entry_keys({k: flags[k] for k in args.given})
     if "model" in given:
@@ -181,7 +180,8 @@ def cmd_paths(args, parser) -> int:
         parser.error(str(exc))
     paths = simulate(args.scheme, model, TimeGrid(maturity, args.steps), args.paths, args.seed)
     if args.out:
-        dump_paths_csv(paths, args.out)
+        with open(args.out, "w", newline="") as fh:
+            dump_paths_csv(paths, fh)
         print(args.out)
     else:
         dump_paths_csv(paths, sys.stdout)

@@ -7,7 +7,7 @@ loop: run r simulates spot-free paths once with seed = base_seed + r, and
 every case is priced on them; per-case aggregates (mean, across-run std,
 mean wall time, memory proxy, relative error) go into an
 ``ExperimentReport``. ``emit_report`` writes reports as CSV and JSON with a
-stable row order and schema.
+stable row order and schema; ``write_csv`` is the one CSV writer.
 """
 from __future__ import annotations
 
@@ -129,11 +129,11 @@ class CaseResult:
     run_std: float
     elapsed_s: float
     memory_bytes: int
-    ref_price: float | None = None
-    rel_error: float | None = None
-    sim_s: float = 0.0               # mean simulation time of the case's runs
-    price_s: float = 0.0             # mean LSM pricing time of the case's runs
-    std_errors: list[float] = field(default_factory=list)  # Monte Carlo SE of each run
+    ref_price: float | None
+    rel_error: float | None
+    sim_s: float                     # mean simulation time of the case's runs
+    price_s: float                   # mean LSM pricing time of the case's runs
+    std_errors: list[float]          # Monte Carlo SE of each run
 
 
 @dataclass
@@ -201,55 +201,51 @@ def run_experiment(spec: ExperimentSpec, run_prices_out: dict | None = None) -> 
     )
     (prices,), (std_errors,), sim_s, (price_s,), memory_bytes = price_runs(spec, [schedule])
     for i, value in enumerate(spec.values):
+        mean_price = float(prices[i].mean())
+        ref = None if spec.reference_prices is None else spec.reference_prices[i]
         case = CaseResult(
             case=spec.case_label(value),
             value=value,
-            mean_price=float(prices[i].mean()),
+            mean_price=mean_price,
             run_std=float(prices[i].std(ddof=1)) if spec.runs > 1 else 0.0,
             elapsed_s=float((sim_s + price_s[i]).mean()),
             memory_bytes=memory_bytes,
+            ref_price=ref,
+            rel_error=None if ref is None else abs(mean_price - ref) / ref,
             sim_s=float(sim_s.mean()),
             price_s=float(price_s[i].mean()),
             std_errors=std_errors[i].tolist(),
         )
-        if spec.reference_prices is not None:
-            case.ref_price = spec.reference_prices[i]
-            case.rel_error = abs(case.mean_price - case.ref_price) / case.ref_price
         if run_prices_out is not None:
             run_prices_out[case.case] = prices[i].tolist()
         report.cases.append(case)
     return report
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then each row of cells to ``path`` as CSV; return the path.
 
-
-def reports_csv(reports) -> str:
-    """CSV text: the ``CSV_COLUMNS`` header, then one row per case of each report.
-
-    Each column is the case's field of that name, else the report's.
+    None is an empty cell and any other cell its ``str``, which for a float
+    is its shortest repr, so it parses back to the same bits.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        for case in report.cases:
-            lines.append(",".join(_csv_cell(getattr(case if hasattr(case, name) else report, name))
-                                  for name in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    path = Path(path)
+    path.write_text("".join(",".join("" if c is None else str(c) for c in cells) + "\n"
+                            for cells in [header, *rows]))
+    return path
 
 
 def emit_report(reports: ExperimentReport | list[ExperimentReport], stem) -> tuple[Path, Path]:
     """Write ``<stem>.csv`` and ``<stem>.json`` and return their paths, CSV first.
 
+    The CSV has the ``CSV_COLUMNS`` header, then one row per case of each
+    report; each column is the case's field of that name, else the report's.
     The JSON holds one report as an object and a list of reports as a list.
     """
     many = isinstance(reports, list)
-    csv_path, json_path = Path(f"{stem}.csv"), Path(f"{stem}.json")
-    csv_path.write_text(reports_csv(reports if many else [reports]))
+    rows = [[getattr(case if hasattr(case, name) else report, name) for name in CSV_COLUMNS]
+            for report in (reports if many else [reports]) for case in report.cases]
+    csv_path = write_csv(f"{stem}.csv", CSV_COLUMNS, rows)
+    json_path = Path(f"{stem}.json")
     payload = [dataclasses.asdict(r) for r in reports] if many else dataclasses.asdict(reports)
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path

@@ -189,16 +189,21 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
 # ``positions`` is the path set's map from each stored grid index to its column.
 # ---------------------------------------------------------------------------
 
-def _start_block(factors, growth, variances, positions):
-    """Set the t=0 column of each row slice if stored; return the running state (x, v)."""
-    count = growth.shape[0]
-    j = positions.get(0)
+def _store(k, x, v, growth, variances, positions):
+    """Write the state (x, v) at grid index ``k`` into its column, if the path set stores it."""
+    j = positions.get(k)
     if j is not None:
-        growth[:, j] = 1.0
-        for var, f in zip(variances, factors):
-            var[:, j] = f.v0
+        for var, vj in zip(variances, v):
+            var[:, j] = vj
+        np.exp(x, out=growth[:, j])
+
+
+def _start_block(factors, growth, variances, positions):
+    """Store the t=0 state of each row slice; return the running state (x, v)."""
+    count = growth.shape[0]
     x = np.zeros(count)
     v = [np.full(count, f.v0) for f in factors]
+    _store(0, x, v, growth, variances, positions)
     return x, v
 
 
@@ -227,11 +232,7 @@ def _aes_block(params, grid, stream, growth, variances, positions):
             np.sqrt(term, out=term)
             x += np.multiply(term, zj, out=term)
         v = v_next
-        j = positions.get(i + 1)
-        if j is not None:
-            for var, vj in zip(variances, v):
-                var[:, j] = vj
-            np.exp(x, out=growth[:, j])
+        _store(i + 1, x, v, growth, variances, positions)
 
 
 def _euler_block(params, grid, stream, growth, variances, positions):
@@ -258,11 +259,7 @@ def _euler_block(params, grid, stream, growth, variances, positions):
             mixed += np.multiply(zxj, o, out=scale)
             x += np.multiply(root, mixed, out=scale)
         v = v_next
-        j = positions.get(i + 1)
-        if j is not None:
-            for var, vj in zip(variances, v):
-                var[:, j] = vj
-            np.exp(x, out=growth[:, j])
+        _store(i + 1, x, v, growth, variances, positions)
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
@@ -312,29 +309,17 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
     return paths
 
 
-def dump_paths_csv(paths: PathSet, destination):
-    """Write paths as CSV rows ``path,step,asset,var1[,var2]``, one per stored column.
+def dump_paths_csv(paths: PathSet, fh):
+    """Write paths to the open text handle ``fh`` as CSV rows ``path,step,asset,var1..varN``.
 
+    One row per path and stored column, one ``var`` per variance factor.
     ``step`` is the grid index of the column. Each value is written as the
     ``repr`` of a Python float, so it parses back to the same bits.
     """
-    two_factor = paths.variance_2 is not None
-    header = ["path", "step", "asset", "var1"] + (["var2"] if two_factor else [])
-
+    variances = paths.variances()
+    writer = csv.writer(fh)
+    writer.writerow(["path", "step", "asset", *(f"var{i}" for i in range(1, len(variances) + 1))])
     asset = paths.asset
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in range(paths.n_paths):
-            for j, k in enumerate(paths.columns):
-                row = [p, k, repr(float(asset[p, j])), repr(float(paths.variance_1[p, j]))]
-                if two_factor:
-                    row.append(repr(float(paths.variance_2[p, j])))
-                writer.writerow(row)
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", newline="") as fh:
-            _write(fh)
+    for p in range(paths.n_paths):
+        for j, k in enumerate(paths.columns):
+            writer.writerow([p, k, *(repr(float(m[p, j])) for m in (asset, *variances))])

@@ -168,7 +168,9 @@ def _refuse_simulating(monkeypatch):
     ("tables", ["--id", "1", "--scale", "0"], "scale must be >= 1"),
     ("tables", ["--id", "fig1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
     # the figure's own runs fit, but its reference runs at base_seed + 10_000 do not
-    ("tables", ["--id", "fig1", "--seed", str(2**64 - 10_000)], f"base_seed {2**64} puts some run's seed"),
+    ("tables", ["--id", "fig1", "--seed", str(2**64 - 10_000)],
+     f"the reference runs of 'fig1' use base_seed + 10000: invalid experiment 'fig1': base_seed {2**64} "
+     "puts some run's seed"),
 ], ids=["price-strike", "price-strike-nan", "price-maturity", "price-seed", "price-last-run-seed",
         "paths-seed", "tables-seed", "tables-scale", "tables-fig1-seed", "tables-fig1-reference-seed"])
 def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, tmp_path,
@@ -241,6 +243,20 @@ DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
 GAMMA_NEGATIVE = (ENTRY + "    preset: feller-holding\n"
                   + ENTRY.split("experiments:\n")[1]
                   + "    preset: feller-holding\n    model: {gamma: -1.0}\n")
+# files that are not a table config: each is refused by the file's name
+BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
+              "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
+FIG1 = resources.files("aesmc.configs").joinpath("fig1.yaml").read_text()
+NOT_A_TABLE = [
+    ("experiments: [\n", "bad.yaml' is not valid YAML"),
+    ("", "bad.yaml' is not a table config"),
+    (BARE_ENTRY, "bad.yaml' needs 'experiments': a nonempty list of entries"),
+    ("experiments: []\n", "bad.yaml' needs 'experiments': a nonempty list of entries"),
+    ("experiments: [1]\n", "bad.yaml' needs 'experiments': a nonempty list of entries"),
+    (FIG1, "bad.yaml' is not a table config"),
+]
+NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "entry-not-a-mapping",
+                   "figure-config"]
 
 
 @pytest.mark.parametrize("broken, named", [
@@ -258,10 +274,14 @@ GAMMA_NEGATIVE = (ENTRY + "    preset: feller-holding\n"
     (STEPS_NOT_AN_INTEGER, "'n_steps' must be an integer"),
     (SEED_NOT_AN_INTEGER, "'base_seed' must be an integer"),
     (GAMMA_NEGATIVE, "gamma must be positive"),
+    (ENTRY + "    preset: feller-holding\n    model: {kind: double_heston}\n",
+     "unknown model kind 'double_heston'"),
+    *NOT_A_TABLE,
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
         "reference-not-a-mapping", "runs-not-an-integer", "n-paths-not-an-integer",
-        "n-steps-not-an-integer", "base-seed-not-an-integer", "gamma-negative"])
+        "n-steps-not-an-integer", "base-seed-not-an-integer", "gamma-negative",
+        "double-heston-underscore-kind", *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -280,7 +300,9 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
     (["--config", "{config}"], VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
     (["--preset", "feller-violating", "--gamma", "-1", "--paths", "100"], NON_NUMERIC_RHO,
      "gamma must be positive"),
-], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative"])
+    *((["--config", "{config}"], config, named) for config, named in NOT_A_TABLE),
+], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative",
+        *NOT_A_TABLE_IDS])
 def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(config)

@@ -335,7 +335,8 @@ def test_martingale_smoke():
 def test_dump_paths_csv_heston(tmp_path):
     paths = simulate("aes", EQ5, TimeGrid(0.25, 4), 3, seed=7)
     out = tmp_path / "paths.csv"
-    dump_paths_csv(paths, out)
+    with open(out, "w", newline="") as fh:
+        dump_paths_csv(paths, fh)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,step,asset,var1"
     assert len(lines) == 1 + 3 * 5
@@ -367,7 +368,8 @@ def test_dump_paths_csv_cells_parse_back_bit_for_bit(scheme, params):
 def test_dump_paths_csv_double_heston(tmp_path):
     paths = simulate("aes", ZHANG, TimeGrid(0.25, 3), 2, seed=8)
     out = tmp_path / "paths.csv"
-    dump_paths_csv(paths, out)
+    with open(out, "w", newline="") as fh:
+        dump_paths_csv(paths, fh)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,step,asset,var1,var2"
     assert len(lines) == 1 + 2 * 4
