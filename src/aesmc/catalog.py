@@ -204,27 +204,27 @@ def run_table(table_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
 def run_figure(fig_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
     """Produce the data files behind one figure: a CSV and a JSON file per value.
 
-    Each (date count, scheme) is one experiment over all of the figure's
-    values. With ``period_weeks`` the maturity is the date count times the
-    period, else the preset's. ``euler2x`` is Euler at twice the date count's
-    steps, and adds a ``-diff.csv`` per value. The reference prices come
-    from an Euler grid of ``reference.n_steps`` steps (750 by default),
-    priced by one ``price_runs`` per maturity with base seed base_seed +
-    ``REFERENCE_SEED_OFFSET``. Every spec is built and checked before
-    ``out_dir`` is created.
+    ``fig_id`` is a built-in figure id (``FIGURE_IDS``); any other id or
+    path is a ValueError that names it. Each (date count, scheme) is one
+    experiment over all of the figure's values. With ``period_weeks`` the
+    maturity is the date count times the period, else the preset's.
+    ``euler2x`` is Euler at twice the date count's steps, and adds a
+    ``-diff.csv`` per value. The reference prices come from an Euler grid of
+    ``reference.n_steps`` steps, priced by one ``price_runs`` per maturity
+    with base seed base_seed + ``REFERENCE_SEED_OFFSET``. Every spec is built
+    and checked before ``out_dir`` is created.
     """
+    if fig_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure {str(fig_id)!r}; figure ids: {', '.join(FIGURE_IDS)}")
     payload = load_config(fig_id)
-    if payload.get("kind") != "figure":
-        raise ValueError(f"config {fig_id!r} is not a figure config")
-    ref_cfg = payload.get("reference") or {}
-    ref_steps = int(ref_cfg.get("n_steps", 750))
+    ref_steps = payload["reference"]["n_steps"]
     # the reference experiment; each figure experiment differs from it only
     # in name, scheme, steps, schedule, maturity and reference prices
     entry = {**payload, "scheme": "euler", "n_steps": ref_steps, "schedule": "american"}
     ref_spec = _at_scale(experiment_from_entry(entry), scale, runs, seed)
     period_years = None
     if "period_weeks" in payload:
-        period_years = payload["period_weeks"] / payload.get("weeks_per_year", 52)
+        period_years = payload["period_weeks"] / payload["weeks_per_year"]
     maturities = {d: d * period_years if period_years else ref_spec.maturity
                   for d in payload["date_counts"]}
 
@@ -272,8 +272,6 @@ def _emit_scheme_diff(reports, maturities, path: Path) -> Path:
     """
     rows = []
     for dates in sorted({d for d, _ in reports}):
-        if (dates, "aes") not in reports or (dates, "euler2x") not in reports:
-            continue
         aes, eul = reports[dates, "aes"].cases[0], reports[dates, "euler2x"].cases[0]
         rows.append([dates, maturities.get(dates), aes.rel_error, eul.rel_error,
                      eul.rel_error - aes.rel_error, eul.elapsed_s - aes.elapsed_s,

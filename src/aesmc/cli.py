@@ -2,9 +2,12 @@
 
 Every subcommand honors --seed and --out, runs in one process and is
 deterministic given its flags. ``price`` and ``paths`` turn their flags into
-one catalog entry, so a flag means what the same YAML key means in a config
-file. ``price`` builds the entry's spec with ``catalog.experiment_from_entry``;
-``paths`` reads only its model and maturity.
+one catalog entry: each flag's dest is the entry key it sets (``--steps`` is
+``n_steps``, ``--spot`` the inline model's ``s0``), so a flag means what the
+same YAML key means in a config file, and a flag is given when its value is
+not None. ``price`` starts from ``PRICE_ENTRY`` and builds the entry's spec
+with ``catalog.experiment_from_entry``; ``paths`` starts from ``PATHS_ENTRY``
+and simulates the entry's model to its maturity, pricing nothing.
 """
 from __future__ import annotations
 
@@ -22,50 +25,43 @@ from .models import PRESETS
 from .sampling import UINT64_LIMIT
 from .simulation import SCHEMES, TimeGrid, dump_paths_csv, simulate
 
-# Model fields with one flag each; the model's s0 is set by --spot.
+# Inline model fields with one flag each; --spot sets s0 and --model sets kind.
 MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)} - {"s0"})
-# Flags that each set one key of the catalog entry.
-ENTRY_KEYS = {
-    "preset": "preset", "scheme": "scheme", "steps": "n_steps", "paths": "n_paths",
-    "runs": "runs", "seed": "base_seed", "strike": "strike", "maturity": "maturity",
-    "dates": "schedule",
-}
+# price's built-in entry; the first --config entry, then every flag given, override it.
+PRICE_ENTRY = {"scheme": "aes", "n_steps": 12, "schedule": "american", "n_paths": 100_000,
+               "runs": 1, "base_seed": 0, "vary": "spot"}
+# paths simulates price's scheme, steps and seed, and dumps 16 paths, unless a flag is given.
+PATHS_ENTRY = {**{key: PRICE_ENTRY[key] for key in ("scheme", "n_steps", "base_seed")}, "n_paths": 16}
+# Dests of price and paths that are not entry keys; every other dest is one.
+OWN_DESTS = {"command", "func", "subparser", "config", "json", "out"}
 
 
-def _add_model_flags(parser):
+def _add_entry_flags(parser, built_in: dict):
+    """Add the flags that set entry keys, and list ``built_in`` in the help.
+
+    Each flag's dest is the entry key (or inline model field) it sets, and
+    its default None, so a flag is given exactly when its value is not None.
+    """
+    parser.epilog = "built-in values: " + ", ".join(f"{k}: {v}" for k, v in built_in.items())
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set (supplies model, strike, maturity)")
-    parser.add_argument("--model", choices=list(catalog.MODEL_KINDS),
+    parser.add_argument("--model", dest="kind", choices=list(catalog.MODEL_KINDS),
                         help="model kind when specifying parameters inline")
     for name in MODEL_FIELDS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=float, default=None, help=f"model parameter {name}")
-    parser.add_argument("--spot", type=float, default=None, help="initial asset price: the model's s0")
-    parser.add_argument("--strike", type=float, default=None, help="put strike")
-    parser.add_argument("--maturity", type=float, default=None, help="maturity in years")
+        parser.add_argument("--" + name.replace("_", "-"), type=float, help=f"model parameter {name}")
+    parser.add_argument("--spot", dest="s0", type=float, help="initial asset price: the model's s0")
+    parser.add_argument("--maturity", type=float, help="maturity in years")
+    parser.add_argument("--scheme", choices=SCHEMES, help="simulation scheme")
+    parser.add_argument("--steps", dest="n_steps", type=int, help="time steps M")
+    parser.add_argument("--paths", dest="n_paths", type=int, help="paths per run")
+    parser.add_argument("--seed", dest="base_seed", type=int, help="base seed; run r uses base_seed + r")
 
 
-def _schedule_args(parser):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--dates", type=int, default=None,
-                       help="number of exercise dates (default: every step)")
-    group.add_argument("--american", action="store_true",
-                       help="exercise at every grid step (American proxy)")
-
-
-def _entry_keys(flags: dict) -> dict:
-    """The catalog entry keys that the flags in ``flags`` set; None sets nothing."""
-    entry = {ENTRY_KEYS[k]: v for k, v in flags.items() if k in ENTRY_KEYS and v is not None}
-    model = {k: v for k, v in flags.items() if k in MODEL_FIELDS and v is not None}
-    if flags.get("spot") is not None:
-        model["s0"] = flags["spot"]
-    if flags.get("model"):
-        model["kind"] = flags["model"]
-    if model:
-        entry["model"] = model
-    if flags.get("american"):
-        entry["schedule"] = "american"
-    return entry
+def _given(args) -> dict:
+    """The entry keys the given flags set, with the inline model fields under ``model``."""
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
+    model = {k: given.pop(k) for k in ("kind", "s0", *MODEL_FIELDS) if k in given}
+    return {**given, "model": model} if model else given
 
 
 def _require_spot(entry: dict) -> dict:
@@ -78,24 +74,23 @@ def _require_spot(entry: dict) -> dict:
 def _entry(args) -> dict:
     """The one catalog entry the flags describe.
 
-    Built-in defaults, then the first entry of --config, then every flag
-    given, each layer overriding the one before; inline model fields merge
-    field by field. The entry keeps one case: the --spot or --strike its
-    ``vary`` names, else its first value, else its model's spot or strike.
+    ``PRICE_ENTRY``, then the first entry of --config, then every flag given
+    (even one given at its built-in value), each layer overriding the one
+    before; inline model fields merge field by field. The entry keeps one
+    case: the --spot or --strike its ``vary`` names, else its first value,
+    else its model's spot or strike.
     """
-    flags = vars(args)
-    entry = {"name": args.command, "scheme": "aes", "schedule": "american", "vary": "spot",
-             **_entry_keys({k: v for k, v in flags.items() if k not in args.given})}
-    if getattr(args, "config", None):
+    entry = {"name": "price", **PRICE_ENTRY}
+    if args.config:
         entry.update(catalog.table_entries(args.config)[0])
         entry.pop("reference", None)
-    given = _entry_keys({k: flags[k] for k in args.given})
+    given = _given(args)
     if "model" in given:
         given["model"] = {**entry.get("model", {}), **given["model"]}
     entry.update(given)
     _require_spot(entry)
     spot = entry["vary"] == "spot"
-    if flags.get("spot" if spot else "strike") is not None or "values" not in entry:
+    if getattr(args, "s0" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
         entry["values"] = [model.s0 if spot else strike]
     entry["values"] = list(catalog.number_list("values", entry["values"])[:1])
@@ -109,16 +104,18 @@ def _spec(args, parser) -> experiments.ExperimentSpec:
         parser.error(str(exc))
 
 
-def _refuse_below_one(args, parser, flags):
-    """Usage error for any given count flag below 1; None means not given."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
+def _refuse_below_one(parser, counts: dict):
+    """Usage error for the first count below 1; ``counts`` maps each flag to its value.
+
+    None (not given) and the schedule "american" are not counts.
+    """
+    for flag, value in counts.items():
+        if isinstance(value, int) and value < 1:
+            parser.error(f"{flag} must be >= 1")
 
 
 def cmd_price(args, parser) -> int:
-    _refuse_below_one(args, parser, ("runs", "paths", "dates"))
+    _refuse_below_one(parser, {"--runs": args.runs, "--paths": args.n_paths, "--dates": args.schedule})
     spec = _spec(args, parser)
     started = time.perf_counter()
     report = experiments.run_experiment(spec)
@@ -171,14 +168,16 @@ def cmd_tables(args, parser) -> int:
 
 def cmd_paths(args, parser) -> int:
     # paths price nothing, so they need the entry's model and maturity but no strike
-    _refuse_below_one(args, parser, ("steps", "paths"))
+    _refuse_below_one(parser, {"--steps": args.n_steps, "--paths": args.n_paths})
+    entry = {**PATHS_ENTRY, **_given(args)}
+    seed = entry["base_seed"]
     try:
-        model, _, maturity = catalog._model_from_entry(_require_spot(_entry_keys(vars(args))))
-        if not 0 <= args.seed < UINT64_LIMIT:
-            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+        model, _, maturity = catalog._model_from_entry(_require_spot(entry))
+        if not 0 <= seed < UINT64_LIMIT:
+            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {seed}")
     except ValueError as exc:
         parser.error(str(exc))
-    paths = simulate(args.scheme, model, TimeGrid(maturity, args.steps), args.paths, args.seed)
+    paths = simulate(entry["scheme"], model, TimeGrid(maturity, entry["n_steps"]), entry["n_paths"], seed)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             dump_paths_csv(paths, fh)
@@ -195,23 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "(almost-exact and truncated-Euler simulation, LSM pricing).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("price", formatter_class=fmt, help="price one option configuration")
-    _add_model_flags(p)
-    p.add_argument("--config", default=None,
-                   help="experiment config file supplying defaults (flags override)")
-    p.add_argument("--scheme", choices=SCHEMES, default="aes")
-    p.add_argument("--steps", type=int, default=12, help="time steps M")
-    _schedule_args(p)
-    p.add_argument("--paths", type=int, default=100_000, help="paths per run")
-    p.add_argument("--runs", type=int, default=1, help="independent runs to average")
-    p.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
+    p = sub.add_parser("price", help="price one option configuration")
+    _add_entry_flags(p, PRICE_ENTRY)
+    p.add_argument("--strike", type=float, help="put strike")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--dates", dest="schedule", type=int, help="number of exercise dates")
+    group.add_argument("--american", dest="schedule", action="store_const", const="american",
+                       help="exercise at every grid step (American proxy)")
+    p.add_argument("--runs", type=int, help="independent runs to average")
+    p.add_argument("--config", help="experiment config file supplying defaults (flags override)")
     p.add_argument("--json", action="store_true", help="print machine-readable JSON")
-    p.add_argument("--out", default=None, help="also write the JSON result here")
+    p.add_argument("--out", help="also write the JSON result here")
     p.set_defaults(func=cmd_price, subparser=p)
 
-    t = sub.add_parser("tables", formatter_class=fmt,
+    t = sub.add_parser("tables", formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                        help="reproduce a source table or figure dataset")
     t.add_argument("--id", default=None,
                    help=f"comma list of: {', '.join(catalog.IDS)}")
@@ -223,26 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default="reports", help="output directory")
     t.set_defaults(func=cmd_tables, subparser=t)
 
-    d = sub.add_parser("paths", formatter_class=fmt, help="dump simulated paths as CSV")
-    _add_model_flags(d)
-    d.add_argument("--scheme", choices=SCHEMES, default="aes")
-    d.add_argument("--steps", type=int, default=12)
-    d.add_argument("--paths", type=int, default=16, help="paths to dump")
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--out", default=None, help="CSV file (default: stdout)")
+    d = sub.add_parser("paths", help="dump simulated paths as CSV")
+    _add_entry_flags(d, PATHS_ENTRY)
+    d.add_argument("--out", help="CSV file (default: stdout)")
     d.set_defaults(func=cmd_paths, subparser=d)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    # argparse stores every default; parsing the subcommand's flags again into
-    # a namespace that already holds each dest leaves only the given ones set
-    unset = object()
-    again = args.subparser.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(vars(args), unset)))
-    args.given = {dest for dest, value in vars(again).items() if value is not unset}
     try:
         return args.func(args, args.subparser)
     except (ValueError, OSError) as exc:

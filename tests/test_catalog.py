@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -115,6 +116,17 @@ def test_run_figure_fig1_smoke(tmp_path):
         assert cells[8] != "" and cells[9] != ""   # self-generated references attached
     payload = json.loads((tmp_path / "fig1-s90.json").read_text())
     assert payload[0]["reference_source"] == "self-euler-m750"
+
+
+@pytest.mark.parametrize("source", ["empty-file", "1"])
+def test_run_figure_takes_only_a_built_in_figure_id(source, tmp_path):
+    if source == "empty-file":
+        source = tmp_path / "empty.yaml"
+        source.write_text("")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(f"unknown figure '{source}'; figure ids: fig1, fig2, fig3")):
+        run_figure(source, scale=1, runs=1, out_dir=out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fig_id, calls", [("fig1", 3), ("fig2", 39), ("fig3", 39)])

@@ -190,6 +190,9 @@ def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, t
 def test_inline_model_without_spot_names_the_spot_flag(command, monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
     argv = [command, *INLINE_HESTON[:2], *INLINE_HESTON[4:]]
+    if command == "paths":  # paths prices nothing and takes no --strike
+        strike = argv.index("--strike")
+        del argv[strike:strike + 2]
     assert "--spot" in INLINE_HESTON[2:4] and "--spot" not in argv
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -415,8 +418,10 @@ def test_paths_need_no_strike(capsys):
             "--maturity", "0.25", "--paths", "2", "--steps", "2"]
     assert main(argv) == 0
     without_strike = capsys.readouterr().out
-    assert main([*argv, "--strike", "100"]) == 0
-    assert capsys.readouterr().out == without_strike
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--strike", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strike 100" in capsys.readouterr().err
     assert without_strike.splitlines()[0] == "path,step,asset,var1"
 
 
@@ -426,6 +431,17 @@ def test_help_exits_cleanly(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+def test_price_help_lists_the_built_in_entry(capsys):
+    # each flag defaults to None, so the help shows the built-in entry, not argparse defaults
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("built-in values: scheme: aes, n_steps: 12, schedule: american, n_paths: 100000, "
+            "runs: 1, base_seed: 0, vary: spot") in out
+    assert "default: None" not in out
 
 
 def test_bench_is_not_a_command(capsys):

@@ -8,6 +8,7 @@ import pytest
 from aesmc.models import ParameterError, preset
 from aesmc.sampling import rng_stream, sample_standard_normal
 from aesmc.simulation import (
+    _BLOCK_KERNELS,
     BLOCK_SIZE,
     cir_exact_step,
     cir_transition_params,
@@ -248,6 +249,18 @@ def test_small_vol_of_vol_is_refused_naming_the_noncentrality():
         simulate("aes", replace(preset("feller-holding").params, gamma=1e-4), TimeGrid(0.25, 20), 1000, 3)
 
 
+def test_small_vol_of_vol_inside_the_bound_follows_the_mean():
+    # at gamma = 1e-3 the Poisson rate stays below its bound, and the variance
+    # is all but deterministic: v(t) = nu_bar + (v0 - nu_bar) e^{-kappa t}
+    grid = TimeGrid(0.25, 20)
+    paths = simulate("aes", replace(EQ4, gamma=1e-3), grid, 1000, 3)
+    v = paths.variance_1
+    assert np.all(np.isfinite(v)) and np.all(v >= 0.0) and np.all(np.isfinite(paths.growth))
+    t = np.arange(grid.steps + 1) * grid.dt
+    mean = EQ4.nu_bar + (EQ4.v0 - EQ4.nu_bar) * np.exp(-EQ4.kappa * t)
+    assert np.allclose(v, mean, rtol=1e-2)
+
+
 def test_memory_proxy_matches_allocation_model():
     paths = simulate("aes", EQ5, TimeGrid(0.25, 20), 1234, seed=5)
     assert paths.memory_bytes == 8 * 1234 * 21 * 2
@@ -278,6 +291,23 @@ def test_stored_columns_equal_full_set_columns(scheme, params):
             assert x.tobytes(order="F") == y[:, list(columns)].tobytes(order="F")
         # the allocation model counts every grid index, whatever is stored
         assert part.memory_bytes == full.memory_bytes
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("params", [EQ5, ZHANG], ids=["heston", "double-heston"])
+def test_blocks_fill_in_any_order(scheme, params):
+    # block b draws only from the stream keyed (seed, b) and writes only its
+    # own rows, so filling the blocks last to first gives the same bytes
+    grid, n_paths = TimeGrid(0.25, 2), 2 * BLOCK_SIZE + 37
+    full = simulate(scheme, params, grid, n_paths, seed=23)
+    growth = np.empty((n_paths, grid.steps + 1), order="F")
+    variances = tuple(np.empty_like(growth) for _ in params.factors())
+    for block_id in reversed(range(3)):
+        rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
+        _BLOCK_KERNELS[scheme](params, grid, rng_stream(23, block_id), growth[rows],
+                               tuple(var[rows] for var in variances), full.positions)
+    for x, y in zip((growth, *variances), (full.growth, *full.variances())):
+        assert x.tobytes(order="F") == y.tobytes(order="F")
 
 
 @pytest.mark.parametrize("columns, message", [
