@@ -259,21 +259,20 @@ def run_figure(fig_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
         value_reports = {key: replace(r, cases=[r.cases[i]]) for key, r in reports.items()}
         written.extend(emit_report(list(value_reports.values()), out_dir / tag))
         if "euler2x" in payload["schemes"]:
-            written.append(_emit_scheme_diff(
-                value_reports, maturities if period_years else {}, out_dir / f"{tag}-diff.csv"))
+            written.append(_emit_scheme_diff(value_reports, maturities, out_dir / f"{tag}-diff.csv"))
     return written
 
 
 def _emit_scheme_diff(reports, maturities, path: Path) -> Path:
     """Euler(2M) minus AES(M) per date count: relative error, time, memory.
 
-    ``reports`` maps (date count, scheme) to a report of one case; the
-    maturity column is left empty for date counts not in ``maturities``.
+    ``reports`` maps (date count, scheme) to a report of one case, and
+    ``maturities`` each date count to its maturity.
     """
     rows = []
     for dates in sorted({d for d, _ in reports}):
         aes, eul = reports[dates, "aes"].cases[0], reports[dates, "euler2x"].cases[0]
-        rows.append([dates, maturities.get(dates), aes.rel_error, eul.rel_error,
+        rows.append([dates, maturities[dates], aes.rel_error, eul.rel_error,
                      eul.rel_error - aes.rel_error, eul.elapsed_s - aes.elapsed_s,
                      eul.memory_bytes - aes.memory_bytes])
     header = "dates,maturity,aes_rel_error,euler2x_rel_error,err_diff,time_diff_s,mem_diff_bytes"

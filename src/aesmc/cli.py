@@ -115,7 +115,8 @@ def _refuse_below_one(parser, counts: dict):
 
 
 def cmd_price(args, parser) -> int:
-    _refuse_below_one(parser, {"--runs": args.runs, "--paths": args.n_paths, "--dates": args.schedule})
+    _refuse_below_one(parser, {"--runs": args.runs, "--steps": args.n_steps, "--paths": args.n_paths,
+                               "--dates": args.schedule})
     spec = _spec(args, parser)
     started = time.perf_counter()
     report = experiments.run_experiment(spec)
@@ -175,9 +176,10 @@ def cmd_paths(args, parser) -> int:
         model, _, maturity = catalog._model_from_entry(_require_spot(entry))
         if not 0 <= seed < UINT64_LIMIT:
             raise ValueError(f"--seed must be an unsigned 64-bit integer, got {seed}")
+        grid = TimeGrid(maturity, entry["n_steps"])
     except ValueError as exc:
         parser.error(str(exc))
-    paths = simulate(entry["scheme"], model, TimeGrid(maturity, entry["n_steps"]), entry["n_paths"], seed)
+    paths = simulate(entry["scheme"], model, grid, entry["n_paths"], seed)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             dump_paths_csv(paths, fh)
@@ -208,16 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON result here")
     p.set_defaults(func=cmd_price, subparser=p)
 
-    t = sub.add_parser("tables", formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                       help="reproduce a source table or figure dataset")
-    t.add_argument("--id", default=None,
-                   help=f"comma list of: {', '.join(catalog.IDS)}")
-    t.add_argument("--config", default=None, help="run experiments from a YAML config file instead")
+    t = sub.add_parser("tables", help="reproduce a source table or figure dataset")
+    t.add_argument("--id", help=f"comma list of: {', '.join(catalog.IDS)}")
+    t.add_argument("--config", help="run experiments from a YAML config file instead")
     t.add_argument("--scale", type=int, default=10,
-                   help="divide paper n_paths by this (1 = full scale)")
-    t.add_argument("--runs", type=int, default=None, help="override run count")
-    t.add_argument("--seed", type=int, default=None, help="override base seed")
-    t.add_argument("--out", default="reports", help="output directory")
+                   help="divide paper n_paths by this (1 = full scale; default: 10)")
+    t.add_argument("--runs", type=int, help="override run count (default: the config's, "
+                                             f"capped at {experiments.DESK_RUNS} below full scale)")
+    t.add_argument("--seed", type=int, help="override base seed (default: the config's)")
+    t.add_argument("--out", default="reports", help="output directory (default: reports)")
     t.set_defaults(func=cmd_tables, subparser=t)
 
     d = sub.add_parser("paths", help="dump simulated paths as CSV")

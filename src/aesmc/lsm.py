@@ -135,7 +135,7 @@ def backward_induction(paths: PathSet, payoff: PutPayoff, schedule: ExerciseSche
     if schedule.grid != paths.grid:
         raise ValueError("schedule grid does not match the path grid")
     positions = [paths.column(k) for k in schedule.exercise_indices]
-    variances = paths.variances()
+    variances = paths.variances
     discount = discount_factors(r, paths.grid)
     feature_buffer = np.empty((paths.n_paths, _n_features(len(variances))))
     last = schedule.exercise_indices[-1]

@@ -81,20 +81,23 @@ class PathSet:
     the same path set at spot x. ``columns`` holds the grid index of each
     stored column, increasing and ending at M; None means every index 0..M.
     ``positions`` maps each of them to its column, as ``column(k)`` reads it.
-    Arrays are Fortran-ordered so per-date cross sections (columns) are
-    contiguous for the backward induction sweep. ``variance_2`` is present
-    only for the double Heston model.
+    ``variances`` has shape (factor, path, column): ``variances[f]`` is the
+    matrix of variance factor f, one per entry of ``params.factors()``.
+    ``growth`` and every factor's matrix are Fortran-ordered so per-date
+    cross sections (columns) are contiguous for the backward induction sweep.
     """
 
     grid: TimeGrid
     s0: float
     growth: np.ndarray
-    variance_1: np.ndarray
-    variance_2: np.ndarray | None = None
+    variances: np.ndarray
     columns: tuple[int, ...] | None = None
     positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.variances.shape[1:] != self.growth.shape:
+            raise ValueError(f"variances must have shape (factors, *growth.shape) with growth "
+                             f"{self.growth.shape}, got {self.variances.shape}")
         self.columns = stored_columns(self.grid, self.columns)
         self.positions = {k: j for j, k in enumerate(self.columns)}
 
@@ -116,19 +119,10 @@ class PathSet:
         return self.growth.shape[0]
 
     @property
-    def n_fields(self) -> int:
-        return 2 if self.variance_2 is None else 3
-
-    @property
     def memory_bytes(self) -> int:
-        # Allocation model: 8 bytes per float64, N*(M+1) per matrix, whatever
-        # the columns stored.
-        return 8 * self.n_paths * (self.grid.steps + 1) * self.n_fields
-
-    def variances(self) -> tuple[np.ndarray, ...]:
-        if self.variance_2 is None:
-            return (self.variance_1,)
-        return (self.variance_1, self.variance_2)
+        # Allocation model: 8 bytes per float64, N*(M+1) per matrix (growth and
+        # one per variance factor), whatever the columns stored.
+        return 8 * self.n_paths * (self.grid.steps + 1) * (1 + len(self.variances))
 
 
 @dataclass(frozen=True)
@@ -300,12 +294,13 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
     n_paths = int(n_paths)
     columns = stored_columns(grid, columns)
     growth = np.empty((n_paths, len(columns)), order="F")
-    variances = tuple(np.empty((n_paths, len(columns)), order="F") for _ in params.factors())
-    paths = PathSet(grid, params.s0, growth, *variances, columns=columns)
+    # one allocation with the factor axis outermost: each variances[f] is a Fortran (path, column) matrix
+    variances = np.empty((n_paths, len(columns), len(params.factors())), order="F").transpose(2, 0, 1)
+    paths = PathSet(grid, params.s0, growth, variances, columns=columns)
     for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         rows = slice(start, start + BLOCK_SIZE)
         _BLOCK_KERNELS[scheme](params, grid, rng_stream(seed, block_id),
-                               growth[rows], tuple(var[rows] for var in variances), paths.positions)
+                               growth[rows], variances[:, rows], paths.positions)
     return paths
 
 
@@ -316,10 +311,9 @@ def dump_paths_csv(paths: PathSet, fh):
     ``step`` is the grid index of the column. Each value is written as the
     ``repr`` of a Python float, so it parses back to the same bits.
     """
-    variances = paths.variances()
+    matrices = (paths.asset, *paths.variances)
     writer = csv.writer(fh)
-    writer.writerow(["path", "step", "asset", *(f"var{i}" for i in range(1, len(variances) + 1))])
-    asset = paths.asset
+    writer.writerow(["path", "step", "asset", *(f"var{i}" for i in range(1, len(matrices)))])
     for p in range(paths.n_paths):
         for j, k in enumerate(paths.columns):
-            writer.writerow([p, k, *(repr(float(m[p, j])) for m in (asset, *variances))])
+            writer.writerow([p, k, *(repr(float(m[p, j])) for m in matrices)])

@@ -294,7 +294,7 @@ def test_criterion_9_lsm_structural(small_paths, acceptance):
     longer = simulate("aes", EQ5, TimeGrid(0.25, 8), 70_000, seed=707)
     one_block = simulate("aes", EQ5, TimeGrid(0.25, 8), BLOCK_SIZE, seed=707)
     deterministic = (np.array_equal(longer.asset[:BLOCK_SIZE], one_block.asset)
-                     and np.array_equal(longer.variance_1[:BLOCK_SIZE], one_block.variance_1))
+                     and np.array_equal(longer.variances[0, :BLOCK_SIZE], one_block.variances[0]))
 
     ok = monotone and bounded and european_exact and deterministic
     acceptance(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from aesmc.cli import main
+from aesmc.experiments import DESK_RUNS
 from aesmc.models import FellerWarning
 
 pytestmark = pytest.mark.filterwarnings("ignore::aesmc.models.FellerWarning")
@@ -87,7 +88,7 @@ def test_price_requires_preset_or_model(capsys):
     assert "--preset" in err or "--model" in err
 
 
-@pytest.mark.parametrize("flag", ["--runs", "--paths", "--dates"])
+@pytest.mark.parametrize("flag", ["--runs", "--steps", "--paths", "--dates"])
 def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
     argv = ["price", "--preset", "feller-violating", "--steps", "2",
             "--paths", "1000", "--runs", "1", flag, "0"]
@@ -164,6 +165,8 @@ def _refuse_simulating(monkeypatch):
     ("price", ["--seed", "-1"], "base_seed -1 puts some run's seed"),
     ("price", ["--seed", str(2**64 - 1), "--runs", "2"], f"base_seed {2**64 - 1} puts some run's seed"),
     ("paths", ["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    ("paths", ["--maturity", "0"], "maturity must be positive"),
+    ("paths", ["--maturity", "nan"], "maturity must be positive"),
     ("tables", ["--id", "1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
     ("tables", ["--id", "1", "--scale", "0"], "scale must be >= 1"),
     ("tables", ["--id", "fig1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
@@ -172,7 +175,8 @@ def _refuse_simulating(monkeypatch):
      f"the reference runs of 'fig1' use base_seed + 10000: invalid experiment 'fig1': base_seed {2**64} "
      "puts some run's seed"),
 ], ids=["price-strike", "price-strike-nan", "price-maturity", "price-seed", "price-last-run-seed",
-        "paths-seed", "tables-seed", "tables-scale", "tables-fig1-seed", "tables-fig1-reference-seed"])
+        "paths-seed", "paths-maturity", "paths-maturity-nan", "tables-seed", "tables-scale",
+        "tables-fig1-seed", "tables-fig1-reference-seed"])
 def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, tmp_path,
                                                         monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
@@ -433,14 +437,20 @@ def test_help_exits_cleanly(command, capsys):
     assert "--seed" in capsys.readouterr().out
 
 
-def test_price_help_lists_the_built_in_entry(capsys):
-    # each flag defaults to None, so the help shows the built-in entry, not argparse defaults
+@pytest.mark.parametrize("command, states", [
+    ("price", ["built-in values: scheme: aes, n_steps: 12, schedule: american, n_paths: 100000, "
+               "runs: 1, base_seed: 0, vary: spot"]),
+    ("tables", ["(1 = full scale; default: 10)", "base seed (default: the config's)", "(default: reports)",
+                f"run count (default: the config's, capped at {DESK_RUNS} below full scale)"]),
+], ids=["price", "tables"])
+def test_help_states_the_defaults(command, states, capsys):
+    # no flag shows argparse's None: price lists its built-in entry, tables each real default
     with pytest.raises(SystemExit) as exc:
-        main(["price", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
-    assert ("built-in values: scheme: aes, n_steps: 12, schedule: american, n_paths: 100000, "
-            "runs: 1, base_seed: 0, vary: spot") in out
+    for text in states:
+        assert text in out
     assert "default: None" not in out
 
 

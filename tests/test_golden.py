@@ -58,7 +58,7 @@ def test_golden_paths_and_price(scheme, name, digests, price):
     p = preset(name)
     grid = TimeGrid(p.maturity, STEPS)
     paths = simulate(scheme, p.params, grid, N_PATHS, SEED)
-    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances()))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances))
     assert got == digests
     result = lsm_price(paths, PutPayoff(p.strike), ExerciseSchedule.nearest(grid, grid.steps), p.params.r)
     assert repr(result.price) == price
@@ -93,7 +93,7 @@ def test_golden_multi_block_paths(scheme, name, digests):
     p = preset(name)
     grid = TimeGrid(p.maturity, MULTI_BLOCK_STEPS)
     paths = simulate(scheme, p.params, grid, MULTI_BLOCK_PATHS, SEED)
-    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances()))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (paths.asset, *paths.variances))
     assert got == digests
 
 

@@ -250,7 +250,7 @@ def test_path_at_the_strike_is_out_of_the_money(monkeypatch):
     at_date_1 = np.concatenate([[1.0, np.nextafter(1.0, 0.0)], np.linspace(0.6, 0.95, 8)])
     growth = np.column_stack([np.ones(10), at_date_1, np.linspace(0.5, 0.9, 10)])
     variance = rng.uniform(0.01, 0.1, size=(10, 3))
-    paths = PathSet(grid, 100.0, growth, variance)
+    paths = PathSet(grid, 100.0, growth, variance[None])
     regressed = []
 
     def counting(features, target):

@@ -14,6 +14,7 @@ from aesmc.simulation import (
     cir_transition_params,
     dump_paths_csv,
     log_price_constants,
+    PathSet,
     simulate,
     truncated_euler_variance_step,
     TimeGrid,
@@ -104,7 +105,7 @@ def test_cir_marginal_independent_of_step_count():
     t = cir_transition_params(1.15, 0.39, 0.0348, 0.25, 0.0348)
     se_mean, se_var = ncx2_moment_se(t.dof, t.kappa_bar, n)
     for paths in (one, many):
-        v_T = paths.variance_1[:, -1]
+        v_T = paths.variances[0, :, -1]
         assert abs(v_T.mean() - mean) < 3 * t.c_bar * se_mean
         assert abs(v_T.var(ddof=1) - var) < 3 * t.c_bar**2 * se_var
 
@@ -151,20 +152,19 @@ def test_initial_columns_exact(scheme, params, fields):
     assert np.all(paths.growth[:, 0] == 1.0)
     assert np.all(paths.asset[:, 0] == params.s0)
     if fields == 2:
-        assert np.all(paths.variance_1[:, 0] == params.v0)
-        assert paths.variance_2 is None
+        assert np.all(paths.variances[0, :, 0] == params.v0)
     else:
-        assert np.all(paths.variance_1[:, 0] == params.v0_1)
-        assert np.all(paths.variance_2[:, 0] == params.v0_2)
-    assert paths.n_fields == fields
+        assert np.all(paths.variances[0, :, 0] == params.v0_1)
+        assert np.all(paths.variances[1, :, 0] == params.v0_2)
+    assert 1 + len(paths.variances) == fields
 
 
 def test_aes_paths_nonnegative_variance_positive_asset():
     paths = simulate("aes", EQ5, TimeGrid(0.25, 20), 20_000, seed=2)
-    assert paths.variance_1.min() >= 0.0
+    assert paths.variances.min() >= 0.0
     assert paths.asset.min() > 0.0
     dh = simulate("aes", ZHANG, TimeGrid(0.25, 12), 10_000, seed=3)
-    assert dh.variance_1.min() >= 0.0 and dh.variance_2.min() >= 0.0
+    assert dh.variances[0].min() >= 0.0 and dh.variances[1].min() >= 0.0
     assert dh.asset.min() > 0.0
 
 
@@ -198,7 +198,7 @@ def test_truncated_euler_with_shared_root_is_the_one_line_update():
 
 def test_euler_variance_stays_nonnegative():
     paths = simulate("euler", EQ5, TimeGrid(0.25, 40), 20_000, seed=4)
-    assert paths.variance_1.min() >= 0.0
+    assert paths.variances.min() >= 0.0
 
 
 @pytest.mark.parametrize("scheme", ["aes", "euler"])
@@ -208,7 +208,7 @@ def test_paths_are_spot_free(scheme, params):
     a = simulate(scheme, params, grid, 700, seed=13)
     b = simulate(scheme, replace(params, s0=0.37 * params.s0), grid, 700, seed=13)
     assert a.s0 == params.s0 and b.s0 == 0.37 * params.s0
-    for x, y in zip((a.growth, *a.variances()), (b.growth, *b.variances())):
+    for x, y in zip((a.growth, *a.variances), (b.growth, *b.variances)):
         assert x.tobytes() == y.tobytes()
 
 
@@ -216,7 +216,7 @@ def test_determinism_same_args_same_bits():
     a = simulate("aes", EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
     b = simulate("aes", EQ5, TimeGrid(0.25, 8), 10_000, seed=9)
     assert np.array_equal(a.asset, b.asset)
-    assert np.array_equal(a.variance_1, b.variance_1)
+    assert np.array_equal(a.variances, b.variances)
 
 
 def test_full_block_independent_of_path_count():
@@ -224,7 +224,7 @@ def test_full_block_independent_of_path_count():
     longer = simulate("aes", EQ5, TimeGrid(0.25, 4), 70_000, seed=10)
     one_block = simulate("aes", EQ5, TimeGrid(0.25, 4), BLOCK_SIZE, seed=10)
     assert np.array_equal(longer.asset[:BLOCK_SIZE], one_block.asset)
-    assert np.array_equal(longer.variance_1[:BLOCK_SIZE], one_block.variance_1)
+    assert np.array_equal(longer.variances[0, :BLOCK_SIZE], one_block.variances[0])
 
 
 def test_seed_changes_paths():
@@ -254,17 +254,26 @@ def test_small_vol_of_vol_inside_the_bound_follows_the_mean():
     # is all but deterministic: v(t) = nu_bar + (v0 - nu_bar) e^{-kappa t}
     grid = TimeGrid(0.25, 20)
     paths = simulate("aes", replace(EQ4, gamma=1e-3), grid, 1000, 3)
-    v = paths.variance_1
+    (v,) = paths.variances
     assert np.all(np.isfinite(v)) and np.all(v >= 0.0) and np.all(np.isfinite(paths.growth))
     t = np.arange(grid.steps + 1) * grid.dt
     mean = EQ4.nu_bar + (EQ4.v0 - EQ4.nu_bar) * np.exp(-EQ4.kappa * t)
     assert np.allclose(v, mean, rtol=1e-2)
 
 
+def test_path_set_refuses_variances_not_shaped_factor_path_column():
+    grid = TimeGrid(0.25, 2)
+    growth = np.ones((5, 3), order="F")
+    with pytest.raises(ValueError, match=r"variances must have shape \(factors, \*growth.shape\) with "
+                                         r"growth \(5, 3\), got \(5, 3\)"):
+        PathSet(grid, 100.0, growth, np.ones((5, 3)))
+    assert len(PathSet(grid, 100.0, growth, np.ones((2, 5, 3))).variances) == 2
+
+
 def test_memory_proxy_matches_allocation_model():
     paths = simulate("aes", EQ5, TimeGrid(0.25, 20), 1234, seed=5)
     assert paths.memory_bytes == 8 * 1234 * 21 * 2
-    assert paths.memory_bytes == paths.asset.nbytes + paths.variance_1.nbytes
+    assert paths.memory_bytes == paths.asset.nbytes + paths.variances.nbytes
     dh = simulate("aes", ZHANG, TimeGrid(0.25, 12), 777, seed=5)
     assert dh.memory_bytes == 8 * 777 * 13 * 3
 
@@ -286,7 +295,7 @@ def test_stored_columns_equal_full_set_columns(scheme, params):
     for columns in [(0, 2, 5), (1, 4, 5), (5,)]:
         part = simulate(scheme, params, grid, TWO_BLOCK_PATHS, seed=17, columns=columns)
         assert part.columns == columns
-        for x, y in zip((part.growth, *part.variances()), (full.growth, *full.variances())):
+        for x, y in zip((part.growth, *part.variances), (full.growth, *full.variances)):
             assert x.shape == (TWO_BLOCK_PATHS, len(columns)) and x.flags.f_contiguous
             assert x.tobytes(order="F") == y[:, list(columns)].tobytes(order="F")
         # the allocation model counts every grid index, whatever is stored
@@ -306,7 +315,7 @@ def test_blocks_fill_in_any_order(scheme, params):
         rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
         _BLOCK_KERNELS[scheme](params, grid, rng_stream(23, block_id), growth[rows],
                                tuple(var[rows] for var in variances), full.positions)
-    for x, y in zip((growth, *variances), (full.growth, *full.variances())):
+    for x, y in zip((growth, *variances), (full.growth, *full.variances)):
         assert x.tobytes(order="F") == y.tobytes(order="F")
 
 
@@ -391,7 +400,7 @@ def test_dump_paths_csv_cells_parse_back_bit_for_bit(scheme, params):
     assert [(int(r[0]), int(r[1])) for r in rows] == [(p, k) for p in range(4) for k in (0, 2, 3)]
     cells = np.array([[float(c) for c in r[2:]] for r in rows]).reshape(4, 3, -1)
     assert np.array_equal(cells[..., 0], paths.asset)
-    for j, var in enumerate(paths.variances(), start=1):
+    for j, var in enumerate(paths.variances, start=1):
         assert np.array_equal(cells[..., j], var)
 
 
