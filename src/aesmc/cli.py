@@ -6,15 +6,15 @@ one catalog entry: each flag's dest is the entry key it sets (``--steps`` is
 ``n_steps``, ``--spot`` the inline model's ``s0``), so a flag means what the
 same YAML key means in a config file, and a flag is given when its value is
 not None. ``price`` starts from ``PRICE_ENTRY`` and builds the entry's spec
-with ``catalog.experiment_from_entry``; ``paths`` starts from ``PATHS_ENTRY``
-and simulates the entry's model to its maturity, pricing nothing.
+with ``catalog.experiment_from_entry``, and its --json and --out give the
+run's report through ``experiments.report_json`` and ``emit_report``, as
+``tables`` does; ``paths`` starts from ``PATHS_ENTRY`` and simulates the
+entry's model to its maturity, pricing nothing.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -117,39 +117,26 @@ def _refuse_below_one(parser, counts: dict):
 def cmd_price(args, parser) -> int:
     _refuse_below_one(parser, {"--runs": args.runs, "--steps": args.n_steps, "--paths": args.n_paths,
                                "--dates": args.schedule})
-    spec = _spec(args, parser)
-    started = time.perf_counter()
-    report = experiments.run_experiment(spec)
-    elapsed = time.perf_counter() - started
+    report = experiments.run_experiment(_spec(args, parser))
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        experiments.emit_report(report, Path(args.out) / report.experiment)
     case = report.cases[0]
-    payload = {
-        "price": case.mean_price,
-        "run_std": case.run_std,
-        "mc_std_error": float(np.mean(case.std_errors)),
-        "runs": spec.runs,
-        "n_paths": spec.n_paths,
-        "n_steps": spec.n_steps,
-        "n_exercise_dates": len(report.schedule_indices),
-        "scheme": spec.scheme,
-        "elapsed_s": elapsed,
-        "memory_bytes": case.memory_bytes,
-    }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(experiments.report_json(report))
     else:
         print(f"price          {case.mean_price:.6f}")
-        print(f"run std        {case.run_std:.6f}  ({spec.runs} runs)")
-        print(f"mc std error   {payload['mc_std_error']:.6f}")
-        print(f"elapsed        {elapsed:.3f} s")
-        print(f"memory proxy   {payload['memory_bytes']} bytes")
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"run std        {case.run_std:.6f}  ({report.runs} runs)")
+        print(f"mc std error   {np.mean(case.std_errors):.6f}")
+        print(f"elapsed        {case.elapsed_s:.3f} s")
+        print(f"memory proxy   {case.memory_bytes} bytes")
     return 0
 
 
 def cmd_tables(args, parser) -> int:
     if bool(args.id) == bool(args.config):
         parser.error("provide exactly one of --id or --config")
+    _refuse_below_one(parser, {"--runs": args.runs, "--scale": args.scale})
     sources = [args.config]
     if args.id:
         sources = [i.strip() for i in args.id.split(",")]
@@ -206,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exercise at every grid step (American proxy)")
     p.add_argument("--runs", type=int, help="independent runs to average")
     p.add_argument("--config", help="experiment config file supplying defaults (flags override)")
-    p.add_argument("--json", action="store_true", help="print machine-readable JSON")
-    p.add_argument("--out", help="also write the JSON result here")
+    p.add_argument("--json", action="store_true", help="print the experiment report as JSON")
+    p.add_argument("--out", help="also write the report's CSV and JSON into this directory, as tables does")
     p.set_defaults(func=cmd_price, subparser=p)
 
     t = sub.add_parser("tables", help="reproduce a source table or figure dataset")

@@ -7,7 +7,8 @@ loop: run r simulates spot-free paths once with seed = base_seed + r, and
 every case is priced on them; per-case aggregates (mean, across-run std,
 mean wall time, memory proxy, relative error) go into an
 ``ExperimentReport``. ``emit_report`` writes reports as CSV and JSON with a
-stable row order and schema; ``write_csv`` is the one CSV writer.
+stable row order and schema; ``write_csv`` is the one CSV writer and
+``report_json`` the one JSON serialiser.
 """
 from __future__ import annotations
 
@@ -239,13 +240,19 @@ def emit_report(reports: ExperimentReport | list[ExperimentReport], stem) -> tup
 
     The CSV has the ``CSV_COLUMNS`` header, then one row per case of each
     report; each column is the case's field of that name, else the report's.
-    The JSON holds one report as an object and a list of reports as a list.
+    The JSON is ``report_json``'s text.
     """
     many = isinstance(reports, list)
     rows = [[getattr(case if hasattr(case, name) else report, name) for name in CSV_COLUMNS]
             for report in (reports if many else [reports]) for case in report.cases]
     csv_path = write_csv(f"{stem}.csv", CSV_COLUMNS, rows)
     json_path = Path(f"{stem}.json")
-    payload = [dataclasses.asdict(r) for r in reports] if many else dataclasses.asdict(reports)
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    json_path.write_text(report_json(reports))
     return csv_path, json_path
+
+
+def report_json(reports: ExperimentReport | list[ExperimentReport]) -> str:
+    """The JSON text of one report (an object) or of a list of reports (a list), newline-ended."""
+    many = isinstance(reports, list)
+    payload = [dataclasses.asdict(r) for r in reports] if many else dataclasses.asdict(reports)
+    return json.dumps(payload, indent=2) + "\n"

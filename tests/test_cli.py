@@ -4,7 +4,9 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_golden import untimed_text
 
 from aesmc.cli import main
 from aesmc.experiments import DESK_RUNS
@@ -55,7 +57,7 @@ def test_price_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["scheme"] == "aes"
     assert payload["n_paths"] == 2000
-    assert payload["price"] >= 0.0
+    assert payload["cases"][0]["mean_price"] >= 0.0
 
 
 def test_price_desk_scale_bermudan_case(capsys):
@@ -65,7 +67,7 @@ def test_price_desk_scale_bermudan_case(capsys):
             "--paths", "100000", "--runs", "5", "--seed", "7000", "--json"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["price"] - 9.966) / 9.966 < 0.01
+    assert abs(payload["cases"][0]["mean_price"] - 9.966) / 9.966 < 0.01
 
 
 def test_price_inline_model_missing_strike_errors(capsys):
@@ -88,14 +90,19 @@ def test_price_requires_preset_or_model(capsys):
     assert "--preset" in err or "--model" in err
 
 
-@pytest.mark.parametrize("flag", ["--runs", "--steps", "--paths", "--dates"])
-def test_price_rejects_nonpositive_runs_and_paths(flag, capsys):
-    argv = ["price", "--preset", "feller-violating", "--steps", "2",
-            "--paths", "1000", "--runs", "1", flag, "0"]
+PRICE_COUNTS = ["price", "--preset", "feller-violating", "--steps", "2", "--paths", "1000", "--runs", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*PRICE_COUNTS, flag, "0"] for flag in ("--runs", "--steps", "--paths", "--dates")),
+    *(["tables", "--id", "1", flag, "0"] for flag in ("--runs", "--scale")),
+], ids=["--runs", "--steps", "--paths", "--dates", "tables--runs", "tables--scale"])
+def test_price_rejects_nonpositive_runs_and_paths(argv, capsys):
+    # price and tables refuse a count below 1 by the flag that gave it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert f"{argv[-2]} must be >= 1" in capsys.readouterr().err
 
 
 def test_price_config_file_with_flag_override(tmp_path, capsys):
@@ -110,19 +117,24 @@ def test_price_config_file_with_flag_override(tmp_path, capsys):
 
 
 def _price_json(argv, capsys) -> dict:
+    """The experiment report that ``price --json`` prints."""
     assert main(["price", *argv, "--json"]) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def _price(argv, capsys) -> float:
+    return _price_json(argv, capsys)["cases"][0]["mean_price"]
 
 
 def test_price_config_scheme_used_unless_flag_given(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(VARY_SPOT_CONFIG.replace("scheme: aes", "scheme: euler"))
     from_config = _price_json(["--config", str(cfg)], capsys)
-    flags = _price_json(["--preset", "feller-violating", "--scheme", "euler", "--spot", "95",
-                         "--steps", "3", "--american", "--paths", "1500", "--seed", "11"], capsys)
-    assert from_config["scheme"] == "euler" and from_config["price"] == flags["price"]
+    flags = _price(["--preset", "feller-violating", "--scheme", "euler", "--spot", "95",
+                    "--steps", "3", "--american", "--paths", "1500", "--seed", "11"], capsys)
+    assert from_config["scheme"] == "euler" and from_config["cases"][0]["mean_price"] == flags
     overridden = _price_json(["--config", str(cfg), "--scheme", "aes"], capsys)
-    assert overridden["scheme"] == "aes" and overridden["price"] == 5.912835459192022
+    assert overridden["scheme"] == "aes" and overridden["cases"][0]["mean_price"] == 5.912835459192022
 
 
 def test_spot_is_the_only_spot_flag(tmp_path, capsys):
@@ -136,8 +148,7 @@ def test_spot_is_the_only_spot_flag(tmp_path, capsys):
     from_config = _price_json(["--config", str(cfg), "--spot", "97"], capsys)
     flags = _price_json(["--preset", "feller-violating", "--spot", "97", "--steps", "3",
                          "--american", "--paths", "1500", "--seed", "11"], capsys)
-    del from_config["elapsed_s"], flags["elapsed_s"]
-    assert from_config == flags
+    assert golden_view(from_config) == golden_view(flags)
 
 
 @pytest.mark.parametrize("command", ["paths"])
@@ -211,9 +222,9 @@ def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
     seed0 = tmp_path / "seed0.yaml"
     seed0.write_text(VARY_SPOT_CONFIG.replace("base_seed: 11", "base_seed: 0"))
     assert _price_json(["--config", str(cfg), "--paths", "100000"], capsys)["n_paths"] == 100_000
-    explicit = _price_json(["--config", str(cfg), "--seed", "0"], capsys)["price"]
-    assert explicit == _price_json(["--config", str(seed0)], capsys)["price"]
-    assert explicit != _price_json(["--config", str(cfg)], capsys)["price"]
+    explicit = _price(["--config", str(cfg), "--seed", "0"], capsys)
+    assert explicit == _price(["--config", str(seed0)], capsys)
+    assert explicit != _price(["--config", str(cfg)], capsys)
 
 
 def test_price_vary_strike_config_prices_first_strike(capsys):
@@ -221,10 +232,10 @@ def test_price_vary_strike_config_prices_first_strike(capsys):
     cfg = str(resources.files("aesmc.configs").joinpath("table5.yaml"))
     small = ["--paths", "2000", "--runs", "1"]
     flags = ["--preset", "double-heston-zhang", "--steps", "12", "--american", "--seed", "8800", *small]
-    first = _price_json(["--config", cfg, *small], capsys)["price"]
-    assert first == _price_json([*flags, "--strike", "56.9"], capsys)["price"]
-    chosen = _price_json(["--config", cfg, "--strike", "66.9", *small], capsys)["price"]
-    assert chosen == _price_json([*flags, "--strike", "66.9"], capsys)["price"]
+    first = _price(["--config", cfg, *small], capsys)
+    assert first == _price([*flags, "--strike", "56.9"], capsys)
+    chosen = _price(["--config", cfg, "--strike", "66.9", *small], capsys)
+    assert chosen == _price([*flags, "--strike", "66.9"], capsys)
 
 
 ENTRY = ("experiments:\n  - name: bad\n    scheme: aes\n    n_paths: 100\n    n_steps: 2\n"
@@ -398,6 +409,22 @@ def test_tables_config_file(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_price_reports_through_the_tables_writer(tmp_path, capsys):
+    # one serialiser: price --json prints the file price --out writes, and both
+    # files match what tables writes for the same entry, timing fields aside
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text(VARY_SPOT_CONFIG)
+    priced, tabled = tmp_path / "price", tmp_path / "tables"
+    assert main(["price", "--config", str(cfg), "--json", "--out", str(priced)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["tables", "--config", str(cfg), "--scale", "1", "--out", str(tabled)]) == 0
+    names = ["from-config.csv", "from-config.json"]
+    assert sorted(p.name for p in priced.iterdir()) == sorted(p.name for p in tabled.iterdir()) == names
+    assert printed == (priced / "from-config.json").read_text()
+    for name in names:
+        assert untimed_text(priced / name) == untimed_text(tabled / name)
+
+
 def test_paths_dump_heston(tmp_path, capsys):
     out = tmp_path / "p.csv"
     argv = ["paths", "--preset", "feller-violating", "--scheme", "aes",
@@ -469,39 +496,49 @@ INLINE_HESTON = ["--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0
                  "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
                  "--strike", "100", "--maturity", "0.25"]
 
-# (id, price flags, expected --json payload without elapsed_s); "{config}"
-# stands for a file holding VARY_SPOT_CONFIG
+# (id, price flags, expected untimed view of the --json report; see golden_view);
+# "{config}" stands for a file holding VARY_SPOT_CONFIG
 GOLDEN_PRICE = [
     ("preset-defaults", ["--preset", "feller-violating"],
-     {"price": 3.162065381235175, "run_std": 0.0, "mc_std_error": 0.015033577110718618,
-      "runs": 1, "n_paths": 100000, "n_steps": 12, "n_exercise_dates": 12, "scheme": "aes",
+     {"mean_price": 3.162065381235175, "run_std": 0.0, "mean(std_errors)": 0.015033577110718618,
+      "runs": 1, "n_paths": 100000, "n_steps": 12, "len(schedule_indices)": 12, "scheme": "aes",
       "memory_bytes": 20800000}),
     ("preset-gamma", ["--preset", "feller-violating", "--gamma", "0.5", *SMALL],
-     {"price": 3.2146661157157777, "run_std": 0.13823346499795466,
-      "mc_std_error": 0.12056934614739066, "runs": 2, "n_paths": 2000, "n_steps": 12,
-      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
+     {"mean_price": 3.2146661157157777, "run_std": 0.13823346499795466,
+      "mean(std_errors)": 0.12056934614739066, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 416000}),
     ("inline-heston", [*INLINE_HESTON, *SMALL],
-     {"price": 3.492986301482149, "run_std": 0.1370433337234062,
-      "mc_std_error": 0.11747792748143315, "runs": 2, "n_paths": 2000, "n_steps": 12,
-      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 416000}),
+     {"mean_price": 3.492986301482149, "run_std": 0.1370433337234062,
+      "mean(std_errors)": 0.11747792748143315, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 416000}),
     ("spot-dates", ["--preset", "feller-violating", "--spot", "90", "--dates", "20",
                     "--steps", "20", *SMALL],
-     {"price": 10.179052656853727, "run_std": 0.07656701774540717,
-      "mc_std_error": 0.10752072631319479, "runs": 2, "n_paths": 2000, "n_steps": 20,
-      "n_exercise_dates": 20, "scheme": "aes", "memory_bytes": 672000}),
+     {"mean_price": 10.179052656853727, "run_std": 0.07656701774540717,
+      "mean(std_errors)": 0.10752072631319479, "runs": 2, "n_paths": 2000, "n_steps": 20,
+      "len(schedule_indices)": 20, "scheme": "aes", "memory_bytes": 672000}),
     ("double-heston-american", ["--preset", "double-heston-zhang", "--american", *SMALL],
-     {"price": 9.893213322140085, "run_std": 0.13871575164787123,
-      "mc_std_error": 0.24373041387584754, "runs": 2, "n_paths": 2000, "n_steps": 12,
-      "n_exercise_dates": 12, "scheme": "aes", "memory_bytes": 624000}),
+     {"mean_price": 9.893213322140085, "run_std": 0.13871575164787123,
+      "mean(std_errors)": 0.24373041387584754, "runs": 2, "n_paths": 2000, "n_steps": 12,
+      "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 624000}),
     ("config-vary-spot", ["--config", "{config}"],
-     {"price": 5.912835459192022, "run_std": 0.0, "mc_std_error": 0.14330565363221695,
-      "runs": 1, "n_paths": 1500, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
+     {"mean_price": 5.912835459192022, "run_std": 0.0, "mean(std_errors)": 0.14330565363221695,
+      "runs": 1, "n_paths": 1500, "n_steps": 3, "len(schedule_indices)": 3, "scheme": "aes",
       "memory_bytes": 96000}),
     ("config-vary-spot-paths", ["--config", "{config}", "--paths", "800"],
-     {"price": 5.742657571377334, "run_std": 0.0, "mc_std_error": 0.20703363018540974,
-      "runs": 1, "n_paths": 800, "n_steps": 3, "n_exercise_dates": 3, "scheme": "aes",
+     {"mean_price": 5.742657571377334, "run_std": 0.0, "mean(std_errors)": 0.20703363018540974,
+      "runs": 1, "n_paths": 800, "n_steps": 3, "len(schedule_indices)": 3, "scheme": "aes",
       "memory_bytes": 51200}),
 ]
+
+
+def golden_view(report: dict) -> dict:
+    """The report's one case and its run settings, keyed as the goldens pin them."""
+    (case,) = report["cases"]
+    return {"mean_price": case["mean_price"], "run_std": case["run_std"],
+            "mean(std_errors)": float(np.mean(case["std_errors"])),
+            **{key: report[key] for key in ("runs", "n_paths", "n_steps")},
+            "len(schedule_indices)": len(report["schedule_indices"]), "scheme": report["scheme"],
+            "memory_bytes": case["memory_bytes"]}
 
 
 @pytest.mark.parametrize("flags, expected", [g[1:] for g in GOLDEN_PRICE],
@@ -509,11 +546,11 @@ GOLDEN_PRICE = [
 def test_golden_price_json(flags, expected, tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(VARY_SPOT_CONFIG)
-    argv = ["price", *(str(cfg) if f == "{config}" else f for f in flags), "--json"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload.pop("elapsed_s") > 0.0
-    assert payload == expected
+    report = _price_json([str(cfg) if f == "{config}" else f for f in flags], capsys)
+    case = report["cases"][0]
+    assert case["elapsed_s"] > 0.0 and case["sim_s"] > 0.0 and case["price_s"] > 0.0
+    assert len(case["std_errors"]) == report["runs"]
+    assert golden_view(report) == expected
 
 
 # (paths flags, SHA-256 of the CSV file)

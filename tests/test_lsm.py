@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import EXPERIMENT_PATHS, EXPERIMENT_RUNS, GOLDEN_EXPERIMENTS
 
-from aesmc import lsm
+from aesmc import experiments, lsm
+from aesmc.catalog import table_specs
 from aesmc.lsm import (
     RCOND,
     ExerciseSchedule,
@@ -264,6 +266,36 @@ def test_path_at_the_strike_is_out_of_the_money(monkeypatch):
     assert s.size == 9                        # path 1 and paths 2..9; not path 0
     assert s[0] == np.nextafter(1.0, 0.0)
     assert exercise_index[0] == 2 and cashflow[0] == 100.0 * (1.0 - 0.5)
+
+
+def test_rank_deficient_designs_of_the_golden_table2_experiment(monkeypatch):
+    # Characterizes the rank-deficient region at a pinned seed: the table2-aes
+    # golden experiment (S0 in {11, 12}, 20,000 paths, 2 runs, 12 American
+    # dates) regresses on 42 designs of 6 columns. Each sweep runs from date 11
+    # down to date 1; at S0=12 date 1 has no in-the-money path and is skipped,
+    # and date 2, the sweep's last regression, has 5 rows in both runs.
+    table, name, overrides, _ = next(g for g in GOLDEN_EXPERIMENTS if g[1] == "table2-aes")
+    (spec,) = [s for s in table_specs(table) if s.name == name]
+    spec = replace(spec, n_paths=EXPERIMENT_PATHS, runs=EXPERIMENT_RUNS, **overrides)
+    sweeps = []                                   # (spot, [(rows, columns) per design]) per price
+
+    def pricing(paths, *args):
+        sweeps.append((paths.s0, []))
+        return lsm_price(paths, *args)
+
+    def regressing(features, target):
+        sweeps[-1][1].append(features.shape)
+        return regress_continuation(features, target)
+
+    monkeypatch.setattr(experiments, "lsm_price", pricing)
+    monkeypatch.setattr(lsm, "regress_continuation", regressing)
+    experiments.run_experiment(spec)
+    assert [(spot, len(designs)) for spot, designs in sweeps] == [(11.0, 11), (12.0, 10)] * EXPERIMENT_RUNS
+    assert sum(len(designs) for _, designs in sweeps) == 42
+    assert {cols for _, designs in sweeps for _, cols in designs} == {6}
+    deficient = [(spot, i, shape) for spot, designs in sweeps for i, shape in enumerate(designs)
+                 if shape[0] < shape[1]]
+    assert deficient == [(12.0, 9, (5, 6))] * EXPERIMENT_RUNS
 
 
 def test_schedule_grid_mismatch_rejected(eq5_paths):
