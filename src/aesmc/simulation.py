@@ -289,8 +289,8 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected {' or '.join(map(repr, SCHEMES))}")
     validate(params)
-    if int(n_paths) < 1:
-        raise ValueError("n_paths must be >= 1")
+    if int(n_paths) < 1 or int(n_paths) != n_paths:
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
     n_paths = int(n_paths)
     columns = stored_columns(grid, columns)
     growth = np.empty((n_paths, len(columns)), order="F")

@@ -9,6 +9,7 @@ from test_golden import EXPERIMENT_PATHS, EXPERIMENT_RUNS, GOLDEN_EXPERIMENTS
 from aesmc import experiments, lsm
 from aesmc.catalog import table_specs
 from aesmc.lsm import (
+    GRAM_ROWS,
     RCOND,
     ExerciseSchedule,
     backward_induction,
@@ -77,9 +78,14 @@ def test_nearest_mapping_750_26():
     assert len(set(idx)) == 26 and idx[-1] == 750
 
 
-def test_nearest_rejects_more_dates_than_steps():
-    with pytest.raises(ValueError):
-        ExerciseSchedule.nearest(TimeGrid(1.0, 5), 6)
+@pytest.mark.parametrize("n_dates, message", [
+    (6, "cannot place more dates than grid steps"),
+    (0, "n_dates must be >= 1, got 0"),
+    (-3, "n_dates must be >= 1, got -3"),
+], ids=["6", "0", "-3"])
+def test_nearest_rejects_more_dates_than_steps(n_dates, message):
+    with pytest.raises(ValueError, match=message):
+        ExerciseSchedule.nearest(TimeGrid(1.0, 5), n_dates)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +106,11 @@ def test_build_features_double_heston_zero_variance():
 def test_build_features_writes_into_buffer():
     rng = np.random.default_rng(4)
     s, v1, v2 = rng.uniform(50.0, 150.0, 9), rng.uniform(0.0, 0.1, 9), rng.uniform(0.0, 0.1, 9)
-    buffer = np.full((12, 10), np.nan)
+    buffer = np.full((12, 10), np.nan, order="F")
     out = build_features(s, 61.9, [v1, v2], out=buffer[:9])
-    assert np.shares_memory(out, buffer) and out.flags.c_contiguous
-    assert out.tobytes() == build_features(s, 61.9, [v1, v2]).tobytes()
+    assert np.shares_memory(out, buffer) and out.strides[0] == 8   # each feature column is contiguous
+    fresh = build_features(s, 61.9, [v1, v2])
+    assert fresh.flags.f_contiguous and out.tobytes() == fresh.tobytes()
     assert np.isnan(buffer[9:]).all()
 
 
@@ -145,16 +152,20 @@ def test_regress_falls_back_to_lstsq_when_underdetermined_or_singular():
     wide = rng.normal(size=(3, 10))                   # fewer rows than columns
     X = rng.normal(size=(40, 10))
     duplicated = np.column_stack([X[:, :9], X[:, 8]])  # singular Gram matrix
-    for design in (wide, duplicated):
+    for design in (wide, duplicated, np.asfortranarray(duplicated)):
         y = rng.normal(size=design.shape[0])
         expected = np.linalg.lstsq(design, y, rcond=RCOND)[0]
         assert np.array_equal(regress_continuation(design, y), expected)
 
 
-def test_regress_well_conditioned_matches_lstsq():
+@pytest.mark.parametrize("rows", [500, GRAM_ROWS - 1, GRAM_ROWS, GRAM_ROWS + 1, 2 * GRAM_ROWS + 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_regress_well_conditioned_matches_lstsq(order, rows):
+    # rows straddle the Gram matrix's row blocks; either memory order of the design
     rng = np.random.default_rng(3)
-    X = np.column_stack([np.ones(500), rng.normal(size=(500, 9))])
-    y = X @ rng.normal(size=10) + rng.normal(0, 0.1, 500)
+    X = np.column_stack([np.ones(rows), rng.normal(size=(rows, 9))])
+    y = X @ rng.normal(size=10) + rng.normal(0, 0.1, rows)
+    X = np.asarray(X, order=order)
     expected = np.linalg.lstsq(X, y, rcond=RCOND)[0]
     assert np.allclose(regress_continuation(X, y), expected, rtol=1e-10, atol=0.0)
 

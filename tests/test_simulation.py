@@ -242,6 +242,18 @@ def test_simulate_dispatch_and_validation():
         simulate("aes", replace(EQ5, gamma=-1.0), TimeGrid(0.25, 4), 100, 0)
 
 
+def test_simulate_refuses_a_non_integral_path_count():
+    grid = TimeGrid(0.25, 4)
+    for n_paths in (2.7, 0.5, 100.5):
+        with pytest.raises(ValueError, match=f"n_paths must be a positive integer, got {n_paths}"):
+            simulate("aes", EQ5, grid, n_paths, 0)
+    expected = simulate("aes", EQ5, grid, 100, seed=7)
+    for n_paths in (100.0, np.int64(100), np.float64(100.0)):
+        paths = simulate("aes", EQ5, grid, n_paths, seed=7)
+        assert paths.growth.tobytes() == expected.growth.tobytes()
+        assert paths.variances.tobytes() == expected.variances.tobytes()
+
+
 def test_small_vol_of_vol_is_refused_naming_the_noncentrality():
     # valid parameters, but the CIR noncentrality grows like 1/gamma^2
     with pytest.raises(ValueError, match=r"poisson rate above 1e\+09: the CIR noncentrality is out of "
