@@ -1,15 +1,14 @@
-"""Command line front end: price, tables, paths.
+"""Command line front end: price, tables.
 
 Every subcommand honors --seed and --out, runs in one process and is
-deterministic given its flags. ``price`` and ``paths`` turn their flags into
-one catalog entry: each flag's dest is the entry key it sets (``--steps`` is
+deterministic given its flags. ``price`` turns its flags into one catalog
+entry: each flag's dest is the entry key it sets (``--steps`` is
 ``n_steps``, ``--spot`` the inline model's ``s0``), so a flag means what the
 same YAML key means in a config file, and a flag is given when its value is
 not None. ``price`` starts from ``PRICE_ENTRY`` and builds the entry's spec
 with ``catalog.experiment_from_entry``, and its --json and --out give the
 run's report through ``experiments.report_json`` and ``emit_report``, as
-``tables`` does; ``paths`` starts from ``PATHS_ENTRY`` and simulates the
-entry's model to its maturity, pricing nothing.
+``tables`` does.
 """
 from __future__ import annotations
 
@@ -22,53 +21,15 @@ import numpy as np
 
 from . import catalog, experiments
 from .models import PRESETS
-from .sampling import UINT64_LIMIT
-from .simulation import SCHEMES, TimeGrid, dump_paths_csv, simulate
+from .simulation import SCHEMES
 
 # Inline model fields with one flag each; --spot sets s0 and --model sets kind.
 MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)} - {"s0"})
 # price's built-in entry; the first --config entry, then every flag given, override it.
 PRICE_ENTRY = {"scheme": "aes", "n_steps": 12, "schedule": "american", "n_paths": 100_000,
                "runs": 1, "base_seed": 0, "vary": "spot"}
-# paths simulates price's scheme, steps and seed, and dumps 16 paths, unless a flag is given.
-PATHS_ENTRY = {**{key: PRICE_ENTRY[key] for key in ("scheme", "n_steps", "base_seed")}, "n_paths": 16}
-# Dests of price and paths that are not entry keys; every other dest is one.
+# Dests of price that are not entry keys; every other dest is one.
 OWN_DESTS = {"command", "func", "subparser", "config", "json", "out"}
-
-
-def _add_entry_flags(parser, built_in: dict):
-    """Add the flags that set entry keys, and list ``built_in`` in the help.
-
-    Each flag's dest is the entry key (or inline model field) it sets, and
-    its default None, so a flag is given exactly when its value is not None.
-    """
-    parser.epilog = "built-in values: " + ", ".join(f"{k}: {v}" for k, v in built_in.items())
-    parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named parameter set (supplies model, strike, maturity)")
-    parser.add_argument("--model", dest="kind", choices=list(catalog.MODEL_KINDS),
-                        help="model kind when specifying parameters inline")
-    for name in MODEL_FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), type=float, help=f"model parameter {name}")
-    parser.add_argument("--spot", dest="s0", type=float, help="initial asset price: the model's s0")
-    parser.add_argument("--maturity", type=float, help="maturity in years")
-    parser.add_argument("--scheme", choices=SCHEMES, help="simulation scheme")
-    parser.add_argument("--steps", dest="n_steps", type=int, help="time steps M")
-    parser.add_argument("--paths", dest="n_paths", type=int, help="paths per run")
-    parser.add_argument("--seed", dest="base_seed", type=int, help="base seed; run r uses base_seed + r")
-
-
-def _given(args) -> dict:
-    """The entry keys the given flags set, with the inline model fields under ``model``."""
-    given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
-    model = {k: given.pop(k) for k in ("kind", "s0", *MODEL_FIELDS) if k in given}
-    return {**given, "model": model} if model else given
-
-
-def _require_spot(entry: dict) -> dict:
-    """``entry``; a ValueError naming --spot when its inline model has no s0 and no preset gives one."""
-    if "model" in entry and "preset" not in entry and "s0" not in entry["model"]:
-        raise ValueError("an inline --model needs --spot, the initial asset price (the model's s0)")
-    return entry
 
 
 def _entry(args) -> dict:
@@ -78,17 +39,20 @@ def _entry(args) -> dict:
     (even one given at its built-in value), each layer overriding the one
     before; inline model fields merge field by field. The entry keeps one
     case: the --spot or --strike its ``vary`` names, else its first value,
-    else its model's spot or strike.
+    else its model's spot or strike. An inline model with no s0 and no
+    preset to give one is a ValueError that names --spot.
     """
     entry = {"name": "price", **PRICE_ENTRY}
     if args.config:
         entry.update(catalog.table_entries(args.config)[0])
         entry.pop("reference", None)
-    given = _given(args)
-    if "model" in given:
-        given["model"] = {**entry.get("model", {}), **given["model"]}
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
+    inline = {k: given.pop(k) for k in ("kind", "s0", *MODEL_FIELDS) if k in given}
+    if inline:
+        given["model"] = {**entry.get("model", {}), **inline}
     entry.update(given)
-    _require_spot(entry)
+    if "model" in entry and "preset" not in entry and "s0" not in entry["model"]:
+        raise ValueError("an inline --model needs --spot, the initial asset price (the model's s0)")
     spot = entry["vary"] == "spot"
     if getattr(args, "s0" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
@@ -154,28 +118,6 @@ def cmd_tables(args, parser) -> int:
     return 0
 
 
-def cmd_paths(args, parser) -> int:
-    # paths price nothing, so they need the entry's model and maturity but no strike
-    _refuse_below_one(parser, {"--steps": args.n_steps, "--paths": args.n_paths})
-    entry = {**PATHS_ENTRY, **_given(args)}
-    seed = entry["base_seed"]
-    try:
-        model, _, maturity = catalog._model_from_entry(_require_spot(entry))
-        if not 0 <= seed < UINT64_LIMIT:
-            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {seed}")
-        grid = TimeGrid(maturity, entry["n_steps"])
-    except ValueError as exc:
-        parser.error(str(exc))
-    paths = simulate(entry["scheme"], model, grid, entry["n_paths"], seed)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            dump_paths_csv(paths, fh)
-        print(args.out)
-    else:
-        dump_paths_csv(paths, sys.stdout)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aesmc",
@@ -184,8 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("price", help="price one option configuration")
-    _add_entry_flags(p, PRICE_ENTRY)
+    # Each flag that sets an entry key has that key (or inline model field) as
+    # its dest and None as its default, so it is given exactly when not None.
+    p = sub.add_parser("price", help="price one option configuration",
+                       epilog="built-in values: " + ", ".join(f"{k}: {v}" for k, v in PRICE_ENTRY.items()))
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="named parameter set (supplies model, strike, maturity)")
+    p.add_argument("--model", dest="kind", choices=list(catalog.MODEL_KINDS),
+                   help="model kind when specifying parameters inline")
+    for name in MODEL_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, help=f"model parameter {name}")
+    p.add_argument("--spot", dest="s0", type=float, help="initial asset price: the model's s0")
+    p.add_argument("--maturity", type=float, help="maturity in years")
+    p.add_argument("--scheme", choices=SCHEMES, help="simulation scheme")
+    p.add_argument("--steps", dest="n_steps", type=int, help="time steps M")
+    p.add_argument("--paths", dest="n_paths", type=int, help="paths per run")
+    p.add_argument("--seed", dest="base_seed", type=int, help="base seed; run r uses base_seed + r")
     p.add_argument("--strike", type=float, help="put strike")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--dates", dest="schedule", type=int, help="number of exercise dates")
@@ -207,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, help="override base seed (default: the config's)")
     t.add_argument("--out", default="reports", help="output directory (default: reports)")
     t.set_defaults(func=cmd_tables, subparser=t)
-
-    d = sub.add_parser("paths", help="dump simulated paths as CSV")
-    _add_entry_flags(d, PATHS_ENTRY)
-    d.add_argument("--out", help="CSV file (default: stdout)")
-    d.set_defaults(func=cmd_paths, subparser=d)
 
     return parser
 

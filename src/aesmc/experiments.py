@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +34,12 @@ CSV_COLUMNS = [
 
 # Desk scale caps the run count at 10.
 DESK_RUNS = 10
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is a finite number equal to its int, and not a bool (TimeGrid's rule)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and int(value) == value)
 
 
 @dataclass(frozen=True)
@@ -57,25 +65,32 @@ class ExperimentSpec:
             errors.append(f"scheme must be {' or '.join(map(repr, SCHEMES))}, got {self.scheme!r}")
         if self.vary not in ("spot", "strike"):
             errors.append(f"vary must be 'spot' or 'strike', got {self.vary!r}")
-        if int(self.runs) < 1:
-            errors.append("runs must be >= 1")
-        elif not 0 <= int(self.base_seed) <= UINT64_LIMIT - int(self.runs):
-            errors.append(f"base_seed {int(self.base_seed)} puts some run's seed outside 0..2**64-1")
-        if int(self.n_paths) < 1:
-            errors.append("n_paths must be >= 1")
-        if int(self.n_steps) < 1:
-            errors.append("n_steps must be >= 1")
+        counts = {"runs": self.runs, "n_paths": self.n_paths, "n_steps": self.n_steps,
+                  "base_seed": self.base_seed}
+        if self.schedule != "american":
+            counts["schedule"] = self.schedule
+        not_integral = [key for key, value in counts.items() if not _integral(value)]
+        errors += [f"schedule must be a date count or 'american', got {counts[key]!r}" if key == "schedule"
+                   else f"{key} must be an integer, got {counts[key]!r}" for key in not_integral]
+        if not not_integral:
+            for key, value in counts.items():
+                object.__setattr__(self, key, int(value))
+            if self.runs < 1:
+                errors.append("runs must be >= 1")
+            elif not 0 <= self.base_seed <= UINT64_LIMIT - self.runs:
+                errors.append(f"base_seed {self.base_seed} puts some run's seed outside 0..2**64-1")
+            if self.n_paths < 1:
+                errors.append("n_paths must be >= 1")
+            if self.n_steps < 1:
+                errors.append("n_steps must be >= 1")
+            if "schedule" in counts and self.schedule < 1:
+                errors.append("schedule date count must be >= 1")
+            elif "schedule" in counts and self.schedule > self.n_steps:
+                errors.append(f"schedule date count {self.schedule} exceeds n_steps {self.n_steps}")
         if not self.values:
             errors.append("values must be nonempty")
         elif not all(np.isfinite(v) and v > 0.0 for v in map(float, self.values)):
             errors.append("values must be positive")
-        if isinstance(self.schedule, str):
-            if self.schedule != "american":
-                errors.append(f"schedule must be a date count or 'american', got {self.schedule!r}")
-        elif int(self.schedule) < 1:
-            errors.append("schedule date count must be >= 1")
-        elif int(self.schedule) > int(self.n_steps):
-            errors.append(f"schedule date count {int(self.schedule)} exceeds n_steps {int(self.n_steps)}")
         if self.vary == "spot" and not (np.isfinite(float(self.strike)) and self.strike > 0.0):
             errors.append(f"strike must be finite and > 0, got {self.strike!r}")
         if not (np.isfinite(float(self.maturity)) and self.maturity > 0.0):

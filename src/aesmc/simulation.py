@@ -42,7 +42,6 @@ whatever the total path count.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -302,18 +301,3 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
         _BLOCK_KERNELS[scheme](params, grid, rng_stream(seed, block_id),
                                growth[rows], variances[:, rows], paths.positions)
     return paths
-
-
-def dump_paths_csv(paths: PathSet, fh):
-    """Write paths to the open text handle ``fh`` as CSV rows ``path,step,asset,var1..varN``.
-
-    One row per path and stored column, one ``var`` per variance factor.
-    ``step`` is the grid index of the column. Each value is written as the
-    ``repr`` of a Python float, so it parses back to the same bits.
-    """
-    matrices = (paths.asset, *paths.variances)
-    writer = csv.writer(fh)
-    writer.writerow(["path", "step", "asset", *(f"var{i}" for i in range(1, len(matrices)))])
-    for p in range(paths.n_paths):
-        for j, k in enumerate(paths.columns):
-            writer.writerow([p, k, *(repr(float(m[p, j])) for m in matrices)])

@@ -1,5 +1,6 @@
-import hashlib
 import json
+import re
+import shlex
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from test_golden import untimed_text
 
-from aesmc.cli import main
+from aesmc.cli import build_parser, main
 from aesmc.experiments import DESK_RUNS
 from aesmc.models import FellerWarning
 
@@ -151,10 +152,9 @@ def test_spot_is_the_only_spot_flag(tmp_path, capsys):
     assert golden_view(from_config) == golden_view(flags)
 
 
-@pytest.mark.parametrize("command", ["paths"])
-def test_s0_flag_is_refused(command, capsys):
+def test_s0_flag_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--preset", "feller-violating", "--s0", "97"])
+        main(["price", "--preset", "feller-violating", "--s0", "97"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --s0 97" in capsys.readouterr().err
 
@@ -164,9 +164,8 @@ def _refuse_simulating(monkeypatch):
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before refusing")
 
-    from aesmc import cli, experiments
+    from aesmc import experiments
     monkeypatch.setattr(experiments, "simulate", simulate)
-    monkeypatch.setattr(cli, "simulate", simulate)
 
 
 @pytest.mark.parametrize("command, flags, named", [
@@ -175,9 +174,6 @@ def _refuse_simulating(monkeypatch):
     ("price", ["--maturity", "0"], "maturity must be finite and > 0, got 0.0"),
     ("price", ["--seed", "-1"], "base_seed -1 puts some run's seed"),
     ("price", ["--seed", str(2**64 - 1), "--runs", "2"], f"base_seed {2**64 - 1} puts some run's seed"),
-    ("paths", ["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
-    ("paths", ["--maturity", "0"], "maturity must be positive"),
-    ("paths", ["--maturity", "nan"], "maturity must be positive"),
     ("tables", ["--id", "1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
     ("tables", ["--id", "1", "--scale", "0"], "scale must be >= 1"),
     ("tables", ["--id", "fig1", "--seed", "-1"], "base_seed -1 puts some run's seed"),
@@ -186,8 +182,7 @@ def _refuse_simulating(monkeypatch):
      f"the reference runs of 'fig1' use base_seed + 10000: invalid experiment 'fig1': base_seed {2**64} "
      "puts some run's seed"),
 ], ids=["price-strike", "price-strike-nan", "price-maturity", "price-seed", "price-last-run-seed",
-        "paths-seed", "paths-maturity", "paths-maturity-nan", "tables-seed", "tables-scale",
-        "tables-fig1-seed", "tables-fig1-reference-seed"])
+        "tables-seed", "tables-scale", "tables-fig1-seed", "tables-fig1-reference-seed"])
 def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, tmp_path,
                                                         monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
@@ -201,13 +196,10 @@ def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["price", "paths"])
+@pytest.mark.parametrize("command", ["price"])
 def test_inline_model_without_spot_names_the_spot_flag(command, monkeypatch, capsys):
     _refuse_simulating(monkeypatch)
     argv = [command, *INLINE_HESTON[:2], *INLINE_HESTON[4:]]
-    if command == "paths":  # paths prices nothing and takes no --strike
-        strike = argv.index("--strike")
-        del argv[strike:strike + 2]
     assert "--spot" in INLINE_HESTON[2:4] and "--spot" not in argv
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -253,6 +245,9 @@ RUNS_NOT_AN_INTEGER = ENTRY.replace("runs: 1", "runs: [1]") + "    preset: felle
 PATHS_NOT_AN_INTEGER = ENTRY.replace("n_paths: 100", "n_paths: 100.5") + "    preset: feller-holding\n"
 STEPS_NOT_AN_INTEGER = ENTRY.replace("n_steps: 2", "n_steps: '2'") + "    preset: feller-holding\n"
 SEED_NOT_AN_INTEGER = ENTRY + "    preset: feller-holding\n    base_seed: [0]\n"
+# a date count that YAML reads as a float or a bool
+SCHEDULE_NOT_AN_INTEGER = ENTRY.replace("schedule: american", "schedule: 1.5") + "    preset: feller-holding\n"
+SCHEDULE_BOOL = ENTRY.replace("schedule: american", "schedule: true") + "    preset: feller-holding\n"
 # a first entry that is valid, then one with more exercise dates than steps
 DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
                      + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
@@ -291,6 +286,8 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (PATHS_NOT_AN_INTEGER, "'n_paths' must be an integer"),
     (STEPS_NOT_AN_INTEGER, "'n_steps' must be an integer"),
     (SEED_NOT_AN_INTEGER, "'base_seed' must be an integer"),
+    (SCHEDULE_NOT_AN_INTEGER, "schedule must be a date count or 'american', got 1.5"),
+    (SCHEDULE_BOOL, "schedule must be a date count or 'american', got True"),
     (GAMMA_NEGATIVE, "gamma must be positive"),
     (ENTRY + "    preset: feller-holding\n    model: {kind: double_heston}\n",
      "unknown model kind 'double_heston'"),
@@ -298,7 +295,8 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
         "reference-not-a-mapping", "runs-not-an-integer", "n-paths-not-an-integer",
-        "n-steps-not-an-integer", "base-seed-not-an-integer", "gamma-negative",
+        "n-steps-not-an-integer", "base-seed-not-an-integer", "schedule-not-an-integer",
+        "schedule-bool", "gamma-negative",
         "double-heston-underscore-kind", *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
@@ -425,38 +423,7 @@ def test_price_reports_through_the_tables_writer(tmp_path, capsys):
         assert untimed_text(priced / name) == untimed_text(tabled / name)
 
 
-def test_paths_dump_heston(tmp_path, capsys):
-    out = tmp_path / "p.csv"
-    argv = ["paths", "--preset", "feller-violating", "--scheme", "aes",
-            "--steps", "4", "--paths", "3", "--seed", "1", "--out", str(out)]
-    assert main(argv) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,asset,var1"
-    assert len(lines) == 1 + 3 * 5
-
-
-def test_paths_dump_double_heston_stdout(capsys):
-    argv = ["paths", "--preset", "double-heston-zhang", "--steps", "2", "--paths", "2", "--seed", "1"]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "path,step,asset,var1,var2"
-    assert len(lines) == 1 + 2 * 3
-
-
-def test_paths_need_no_strike(capsys):
-    argv = ["paths", "--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
-            "--kappa", "1", "--nu-bar", "0.04", "--gamma", "0.3", "--rho", "-0.5",
-            "--maturity", "0.25", "--paths", "2", "--steps", "2"]
-    assert main(argv) == 0
-    without_strike = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--strike", "100"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --strike 100" in capsys.readouterr().err
-    assert without_strike.splitlines()[0] == "path,step,asset,var1"
-
-
-@pytest.mark.parametrize("command", ["price", "tables", "paths"])
+@pytest.mark.parametrize("command", ["price", "tables"])
 def test_help_exits_cleanly(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -482,11 +449,24 @@ def test_help_states_the_defaults(command, states, capsys):
 
 
 def test_bench_is_not_a_command(capsys):
-    # the AES(M) vs Euler(2M) comparison is `tables --id fig3`
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--preset", "feller-violating"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # the AES(M) vs Euler(2M) comparison is `tables --id fig3`, and simulated
+    # paths are the arrays of the PathSet that `simulation.simulate` returns
+    for command in ("bench", "paths"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "feller-violating"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `aesmc` line of README's bash blocks, continuations joined, names a
+    # subcommand and flags that exist; the parser only parses, nothing runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("aesmc ")]
+    assert {argv[1] for argv in commands} == {"price", "tables"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 # Golden CLI outputs at pinned seeds. A refactor of how flags become a
@@ -551,21 +531,3 @@ def test_golden_price_json(flags, expected, tmp_path, capsys):
     assert case["elapsed_s"] > 0.0 and case["sim_s"] > 0.0 and case["price_s"] > 0.0
     assert len(case["std_errors"]) == report["runs"]
     assert golden_view(report) == expected
-
-
-# (paths flags, SHA-256 of the CSV file)
-GOLDEN_PATHS_CSV = [
-    (["--preset", "feller-violating", "--scheme", "aes", "--steps", "4", "--paths", "3",
-      "--seed", "1"],
-     "c4feb83c74cd8cba2046bbc104d0abeb4e74c4571f64cb54259604d6122f3ff9"),
-    (["--preset", "double-heston-zhang", "--scheme", "euler", "--spot", "55", "--steps", "3",
-      "--paths", "4", "--seed", "2"],
-     "e000d5e3ef721cb6b49632239e8ecdbc5120e2bed40558eb83f5f3a8b9735e99"),
-]
-
-
-@pytest.mark.parametrize("flags, digest", GOLDEN_PATHS_CSV, ids=["heston", "double-heston"])
-def test_golden_paths_csv(flags, digest, tmp_path, capsys):
-    out = tmp_path / "paths.csv"
-    assert main(["paths", *flags, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -79,12 +79,29 @@ def test_spec_validation_collects_errors():
     (dict(base_seed=-1), "base_seed -1 puts some run's seed outside 0..2"),
     (dict(base_seed=2**64 - 1, runs=2), "base_seed 18446744073709551615 puts some run's seed"),
     (dict(base_seed=2**64), "base_seed 18446744073709551616 puts some run's seed"),
+    # a count or seed is refused by name, never truncated to its int
+    (dict(runs=2.5), "runs must be an integer, got 2.5"),
+    (dict(runs=True), "runs must be an integer, got True"),
+    (dict(n_paths=300.5), "n_paths must be an integer, got 300.5"),
+    (dict(n_steps=3.5), "n_steps must be an integer, got 3.5"),
+    (dict(base_seed=8000.7), "base_seed must be an integer, got 8000.7"),
+    (dict(base_seed=math.nan), "base_seed must be an integer, got nan"),
+    (dict(schedule=2.5), "schedule must be a date count or 'american', got 2.5"),
+    (dict(schedule=True), "schedule must be a date count or 'american', got True"),
 ], ids=["strike-negative", "strike-zero", "strike-inf", "strike-nan", "maturity-zero",
         "maturity-negative", "maturity-nan", "seed-negative", "last-run-seed-past-2**64",
-        "seed-2**64"])
+        "seed-2**64", "runs-fraction", "runs-bool", "n-paths-fraction", "n-steps-fraction",
+        "seed-fraction", "seed-nan", "schedule-fraction", "schedule-bool"])
 def test_spec_refuses_bad_strike_maturity_and_seed(overrides, named):
     with pytest.raises(ValueError, match=named):
         smoke_spec(**overrides)
+
+
+def test_spec_integral_floats_price_as_their_ints():
+    as_floats = smoke_spec(n_paths=300.0, n_steps=4.0, schedule=3.0, runs=2.0, base_seed=5.0)
+    as_ints = smoke_spec(n_paths=300, n_steps=4, schedule=3, runs=2, base_seed=5)
+    assert ([c.mean_price for c in run_experiment(as_floats).cases]
+            == [c.mean_price for c in run_experiment(as_ints).cases])
 
 
 def test_spec_seed_range_edges_and_strike_of_strike_experiments():

@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 
@@ -12,7 +11,6 @@ from aesmc.simulation import (
     BLOCK_SIZE,
     cir_exact_step,
     cir_transition_params,
-    dump_paths_csv,
     log_price_constants,
     PathSet,
     simulate,
@@ -381,46 +379,3 @@ def test_martingale_smoke():
     disc = math.exp(-EQ5.r * 0.25)
     dev = abs(disc * s_T.mean() - EQ5.s0)
     assert dev < 3 * disc * s_T.std(ddof=1) / math.sqrt(n) + 0.005 * EQ5.s0
-
-
-def test_dump_paths_csv_heston(tmp_path):
-    paths = simulate("aes", EQ5, TimeGrid(0.25, 4), 3, seed=7)
-    out = tmp_path / "paths.csv"
-    with open(out, "w", newline="") as fh:
-        dump_paths_csv(paths, fh)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,asset,var1"
-    assert len(lines) == 1 + 3 * 5
-
-
-def test_dump_paths_csv_labels_stored_grid_indices():
-    grid = TimeGrid(0.25, 4)
-    full, part = io.StringIO(), io.StringIO()
-    dump_paths_csv(simulate("euler", ZHANG, grid, 2, seed=8), full)
-    dump_paths_csv(simulate("euler", ZHANG, grid, 2, seed=8, columns=(1, 3, 4)), part)
-    rows = full.getvalue().splitlines()
-    kept = [row for row in rows[1:] if row.split(",")[1] in ("1", "3", "4")]
-    assert part.getvalue().splitlines() == [rows[0], *kept]
-
-
-@pytest.mark.parametrize("scheme, params", [("aes", EQ5), ("euler", ZHANG)], ids=["heston", "double-heston"])
-def test_dump_paths_csv_cells_parse_back_bit_for_bit(scheme, params):
-    paths = simulate(scheme, params, TimeGrid(0.25, 3), 4, seed=9, columns=(0, 2, 3))
-    out = io.StringIO()
-    dump_paths_csv(paths, out)
-    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(p, k) for p in range(4) for k in (0, 2, 3)]
-    cells = np.array([[float(c) for c in r[2:]] for r in rows]).reshape(4, 3, -1)
-    assert np.array_equal(cells[..., 0], paths.asset)
-    for j, var in enumerate(paths.variances, start=1):
-        assert np.array_equal(cells[..., j], var)
-
-
-def test_dump_paths_csv_double_heston(tmp_path):
-    paths = simulate("aes", ZHANG, TimeGrid(0.25, 3), 2, seed=8)
-    out = tmp_path / "paths.csv"
-    with open(out, "w", newline="") as fh:
-        dump_paths_csv(paths, fh)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,asset,var1,var2"
-    assert len(lines) == 1 + 2 * 4
