@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +23,7 @@ import numpy as np
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
 from .sampling import UINT64_LIMIT
-from .simulation import SCHEMES, TimeGrid, simulate
+from .simulation import SCHEMES, TimeGrid, _integral, simulate
 
 CSV_COLUMNS = [
     "experiment", "case", "scheme", "n_steps", "n_paths", "runs",
@@ -34,12 +32,6 @@ CSV_COLUMNS = [
 
 # Desk scale caps the run count at 10.
 DESK_RUNS = 10
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is a finite number equal to its int, and not a bool (TimeGrid's rule)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and int(value) == value)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .models import PutPayoff
-from .simulation import PathSet, TimeGrid, stored_columns
+from .simulation import PathSet, TimeGrid, _integral, stored_columns
 
 # Singular values below RCOND * largest are treated as zero in the solve.
 RCOND = 1e-10
@@ -49,6 +49,9 @@ class ExerciseSchedule:
         reference grid) rounding is half-up so the mapping is reproducible
         across platforms.
         """
+        if not _integral(n_dates):
+            raise ValueError(f"n_dates must be an integer, got {n_dates!r}")
+        n_dates = int(n_dates)
         if n_dates < 1:
             raise ValueError(f"n_dates must be >= 1, got {n_dates}")
         if n_dates > grid.steps:

@@ -35,14 +35,26 @@ asset correlation, so there is one kernel per scheme for any factor count.
 Draw order is a contract (streams are replayable): per step, every variance
 draw first (factor 1, then factor 2, ...), then every log-price normal; Euler
 likewise draws all variance normals, then all asset normals. Paths are
-generated in fixed blocks of ``BLOCK_SIZE``, one after another in one
-process; block ``b`` consumes the stream keyed ``(seed, b)`` and writes its
-own row slice of the output in place, so a full block's paths are the same
-whatever the total path count.
+generated in fixed blocks of ``BLOCK_SIZE``; block ``b`` consumes the stream
+keyed ``(seed, b)`` and writes its own row slice of the output in place, so a
+full block's paths are the same whatever the total path count, and whichever
+thread fills it, in whatever order.
+
+Execution is threaded, in one process, and changes no byte. ``simulate``
+works through its blocks on ``min(usable cores, blocks)`` threads, the
+calling thread one of them, so a one-block call starts no block thread. Each
+block kernel has two stages. Its stream stage runs on the block's thread and
+makes every draw, in the contract order: the χ² variance chain and the
+normals for AES, the normals only for Euler. Its state stage runs on one
+helper thread per block, one step behind the draws and never further: the
+AES log-price update, the whole truncated-Euler update, and ``_store``.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +63,19 @@ from .models import validate
 from .sampling import rng_stream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is a finite number equal to its int, and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and int(value) == value)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integral number >= 1."""
+    if not (_integral(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,8 +88,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.maturity) and self.maturity > 0.0):
             raise ValueError("maturity must be positive")
-        if int(self.steps) < 1 or int(self.steps) != self.steps:
-            raise ValueError("steps must be a positive integer")
+        object.__setattr__(self, "steps", _count("steps", self.steps))
 
     @property
     def dt(self) -> float:
@@ -182,6 +206,59 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
 # ``positions`` is the path set's map from each stored grid index to its column.
 # ---------------------------------------------------------------------------
 
+class _StateStage:
+    """A helper thread that runs ``advance(*step)`` for each step pushed to it, in order.
+
+    ``push`` waits until the previous step's ``advance`` has returned, so the
+    helper runs at most one step behind the caller, then hands the step over
+    and returns at once. Leaving the ``with`` block waits for the last step
+    and joins the thread. An exception raised by ``advance`` is re-raised by
+    the next ``push`` or on leaving the block, whichever comes first.
+    """
+
+    def __init__(self, advance):
+        self._advance = advance
+        self._step = None
+        self._error = None
+        self._idle = threading.Lock()     # held from a push until its advance returns
+        self._ready = threading.Lock()    # released when a step (or None, to stop) is handed over
+        self._ready.acquire()
+        self._thread = threading.Thread(target=self._serve)
+
+    def _serve(self):
+        while True:
+            self._ready.acquire()
+            if self._step is None:
+                return
+            try:
+                self._advance(*self._step)
+            except BaseException as exc:
+                self._error = exc
+                return
+            finally:
+                self._idle.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def push(self, *step):
+        self._idle.acquire()
+        if self._error is not None:
+            self._idle.release()
+            raise self._error
+        self._step = step
+        self._ready.release()
+
+    def __exit__(self, exc_type, exc, tb):
+        self._idle.acquire()
+        self._step = None
+        self._ready.release()
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+
 def _store(k, x, v, growth, variances, positions):
     """Write the state (x, v) at grid index ``k`` into its column, if the path set stores it."""
     j = positions.get(k)
@@ -207,12 +284,9 @@ def _aes_block(params, grid, stream, growth, variances, positions):
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
     x, v = _start_block(factors, growth, variances, positions)
     term = np.empty(count)
-    for i in range(grid.steps):
-        v_next = [
-            cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
-            for f, vj in zip(factors, v)
-        ]
-        z = [sample_standard_normal(stream, size=count) for _ in factors]
+
+    def advance(k, v, v_next, z):  # state stage: the log-price update from step k-1 to k
+        nonlocal x
         # Drift terms, then the v_next terms, then the diffusion terms: any
         # other summation order changes the last bits of every path.
         x += c0
@@ -224,8 +298,17 @@ def _aes_block(params, grid, stream, growth, variances, positions):
             np.multiply(vj, c, out=term)
             np.sqrt(term, out=term)
             x += np.multiply(term, zj, out=term)
-        v = v_next
-        _store(i + 1, x, v, growth, variances, positions)
+        _store(k, x, v_next, growth, variances, positions)
+
+    with _StateStage(advance) as state:  # stream stage: the variance chain and the normals
+        for i in range(grid.steps):
+            v_next = [
+                cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
+                for f, vj in zip(factors, v)
+            ]
+            z = [sample_standard_normal(stream, size=count) for _ in factors]
+            state.push(i + 1, v, v_next, z)
+            v = v_next
 
 
 def _euler_block(params, grid, stream, growth, variances, positions):
@@ -236,9 +319,9 @@ def _euler_block(params, grid, stream, growth, variances, positions):
     x, v = _start_block(factors, growth, variances, positions)
     mixed, scale = np.empty(count), np.empty(count)
     roots = [np.empty(count) for _ in factors]
-    for i in range(grid.steps):
-        z_v = [sample_standard_normal(stream, size=count) for _ in factors]
-        z_x = [sample_standard_normal(stream, size=count) for _ in factors]
+
+    def advance(k, z_v, z_x):  # state stage: the variance and log-price update from step k-1 to k
+        nonlocal x, v
         for vj, root in zip(v, roots):  # shared by the variance and log-price updates
             np.sqrt(np.multiply(vj, dt, out=root), out=root)
         v_next = [
@@ -249,14 +332,27 @@ def _euler_block(params, grid, stream, growth, variances, positions):
         for f, o, root, zvj, zxj in zip(factors, ortho, roots, z_v, z_x):
             # x += sqrt(v dt) * (rho z_v + o z_x), in two reused buffers
             np.multiply(zvj, f.rho, out=mixed)
-            mixed += np.multiply(zxj, o, out=scale)
+            np.add(mixed, np.multiply(zxj, o, out=scale), out=mixed)
             x += np.multiply(root, mixed, out=scale)
         v = v_next
-        _store(i + 1, x, v, growth, variances, positions)
+        _store(k, x, v, growth, variances, positions)
+
+    with _StateStage(advance) as state:  # stream stage: the normals only
+        for i in range(grid.steps):
+            z_v = [sample_standard_normal(stream, size=count) for _ in factors]
+            z_x = [sample_standard_normal(stream, size=count) for _ in factors]
+            state.push(i + 1, z_v, z_x)
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
 SCHEMES = tuple(_BLOCK_KERNELS)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def stored_columns(grid: TimeGrid, columns=None) -> tuple[int, ...]:
@@ -288,16 +384,38 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected {' or '.join(map(repr, SCHEMES))}")
     validate(params)
-    if int(n_paths) < 1 or int(n_paths) != n_paths:
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    n_paths = int(n_paths)
+    n_paths = _count("n_paths", n_paths)
     columns = stored_columns(grid, columns)
     growth = np.empty((n_paths, len(columns)), order="F")
     # one allocation with the factor axis outermost: each variances[f] is a Fortran (path, column) matrix
     variances = np.empty((n_paths, len(columns), len(params.factors())), order="F").transpose(2, 0, 1)
     paths = PathSet(grid, params.s0, growth, variances, columns=columns)
-    for block_id, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
-        rows = slice(start, start + BLOCK_SIZE)
-        _BLOCK_KERNELS[scheme](params, grid, rng_stream(seed, block_id),
-                               growth[rows], variances[:, rows], paths.positions)
+    kernel = _BLOCK_KERNELS[scheme]
+    n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
+    todo, taking, failed = iter(range(n_blocks)), threading.Lock(), []
+
+    def work():  # fill blocks until none is left or one has failed
+        try:
+            while not failed:
+                with taking:
+                    block_id = next(todo, None)
+                if block_id is None:
+                    return
+                rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
+                kernel(params, grid, rng_stream(seed, block_id), growth[rows], variances[:, rows],
+                       paths.positions)
+        except BaseException as exc:
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(1, min(_usable_cores(), n_blocks))]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if failed:
+        raise failed[0]
     return paths

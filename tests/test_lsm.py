@@ -82,10 +82,18 @@ def test_nearest_mapping_750_26():
     (6, "cannot place more dates than grid steps"),
     (0, "n_dates must be >= 1, got 0"),
     (-3, "n_dates must be >= 1, got -3"),
-], ids=["6", "0", "-3"])
+    (True, "n_dates must be an integer, got True"),
+    (2.5, "n_dates must be an integer, got 2.5"),
+], ids=["6", "0", "-3", "bool", "fraction"])
 def test_nearest_rejects_more_dates_than_steps(n_dates, message):
     with pytest.raises(ValueError, match=message):
         ExerciseSchedule.nearest(TimeGrid(1.0, 5), n_dates)
+
+
+def test_nearest_takes_an_integral_date_count_as_its_int():
+    grid = TimeGrid(1.0, 6)
+    for n_dates in (3.0, np.int64(3), np.float64(3.0)):
+        assert ExerciseSchedule.nearest(grid, n_dates) == ExerciseSchedule.nearest(grid, 3)
 
 
 # ---------------------------------------------------------------------------

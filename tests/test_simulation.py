@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aesmc import simulation
 from aesmc.models import ParameterError, preset
 from aesmc.sampling import rng_stream, sample_standard_normal
 from aesmc.simulation import (
@@ -43,6 +46,14 @@ def test_time_grid_rejects_bad_inputs():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 5)
+    for steps in (2.5, 0.5, True, False, float("nan"), "4"):
+        with pytest.raises(ValueError, match=f"steps must be a positive integer, got {steps!r}"):
+            TimeGrid(0.25, steps)
+    for steps in (2.0, np.int64(2), np.float64(2.0)):
+        grid = TimeGrid(0.25, steps)
+        assert type(grid.steps) is int and grid == TimeGrid(0.25, 2) and grid.dt == 0.125
+    paths = simulate("aes", EQ5, TimeGrid(0.25, 2.0), 10, seed=1)
+    assert paths.growth.tobytes() == simulate("aes", EQ5, TimeGrid(0.25, 2), 10, seed=1).growth.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +253,7 @@ def test_simulate_dispatch_and_validation():
 
 def test_simulate_refuses_a_non_integral_path_count():
     grid = TimeGrid(0.25, 4)
-    for n_paths in (2.7, 0.5, 100.5):
+    for n_paths in (2.7, 0.5, 100.5, True, False, float("inf")):
         with pytest.raises(ValueError, match=f"n_paths must be a positive integer, got {n_paths}"):
             simulate("aes", EQ5, grid, n_paths, 0)
     expected = simulate("aes", EQ5, grid, 100, seed=7)
@@ -252,11 +263,56 @@ def test_simulate_refuses_a_non_integral_path_count():
         assert paths.variances.tobytes() == expected.variances.tobytes()
 
 
+SMALL_GAMMA_REFUSAL = (r"poisson rate above 1e\+09: the CIR noncentrality is out of "
+                       r"range; it grows like 1/gamma\^2 as the vol-of-vol")
+
+
 def test_small_vol_of_vol_is_refused_naming_the_noncentrality():
     # valid parameters, but the CIR noncentrality grows like 1/gamma^2
-    with pytest.raises(ValueError, match=r"poisson rate above 1e\+09: the CIR noncentrality is out of "
-                                         r"range; it grows like 1/gamma\^2 as the vol-of-vol"):
+    with pytest.raises(ValueError, match=SMALL_GAMMA_REFUSAL):
         simulate("aes", replace(preset("feller-holding").params, gamma=1e-4), TimeGrid(0.25, 20), 1000, 3)
+
+
+@pytest.mark.parametrize("n_paths", [1000, 2 * BLOCK_SIZE + 37], ids=["one-block", "three-blocks"])
+def test_a_failed_draw_surfaces_and_leaves_no_thread_behind(n_paths):
+    # the refusal is raised in the stream stage, on every block's thread
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=SMALL_GAMMA_REFUSAL):
+        simulate("aes", replace(EQ4, gamma=1e-4), TimeGrid(0.25, 20), n_paths, 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("n_paths", [1000, 2 * BLOCK_SIZE + 37], ids=["one-block", "three-blocks"])
+def test_a_failed_state_update_surfaces_and_leaves_no_thread_behind(monkeypatch, scheme, n_paths):
+    store = simulation._store
+
+    def failing_store(k, *args):
+        if k == 2:  # a step the state stage stores, on its helper thread
+            raise RuntimeError(f"store failed at grid index {k}")
+        store(k, *args)
+
+    monkeypatch.setattr(simulation, "_store", failing_store)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="store failed at grid index 2"):
+        simulate(scheme, ZHANG, TimeGrid(0.25, 5), n_paths, 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scheme", ["aes", "euler"])
+@pytest.mark.parametrize("params", [EQ5, ZHANG], ids=["heston", "double-heston"])
+def test_one_block_draws_on_the_calling_thread(monkeypatch, scheme, params):
+    # a tracer that wraps these calls keeps one span stack, so they must run
+    # on the thread that called simulate
+    threads = []
+    for name in ("cir_transition_params", "cir_exact_step", "sample_noncentral_chisq", "sample_standard_normal"):
+        def record(*args, fn=getattr(simulation, name), **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(simulation, name, record)
+    simulate(scheme, params, TimeGrid(0.25, 6), BLOCK_SIZE, seed=4)
+    draws_per_step = len(params.factors()) * (4 if scheme == "aes" else 2)
+    assert threads == [threading.get_ident()] * 6 * draws_per_step
 
 
 def test_small_vol_of_vol_inside_the_bound_follows_the_mean():
@@ -316,10 +372,12 @@ def test_stored_columns_equal_full_set_columns(scheme, params):
 @pytest.mark.parametrize("params", [EQ5, ZHANG], ids=["heston", "double-heston"])
 def test_blocks_fill_in_any_order(scheme, params):
     # block b draws only from the stream keyed (seed, b) and writes only its
-    # own rows, so filling the blocks last to first gives the same bytes
-    grid, n_paths = TimeGrid(0.25, 2), 2 * BLOCK_SIZE + 37
-    full = simulate(scheme, params, grid, n_paths, seed=23)
-    growth = np.empty((n_paths, grid.steps + 1), order="F")
+    # own rows, so filling the blocks last to first, one at a time, gives the
+    # bytes of simulate's threaded blocks; the columns skip stores at steps
+    # 1 and 3, so each block's lagged state stage must still advance there
+    grid, n_paths, columns = TimeGrid(0.25, 5), 2 * BLOCK_SIZE + 37, (2, 4, 5)
+    full = simulate(scheme, params, grid, n_paths, seed=23, columns=columns)
+    growth = np.empty((n_paths, len(columns)), order="F")
     variances = tuple(np.empty_like(growth) for _ in params.factors())
     for block_id in reversed(range(3)):
         rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
@@ -327,6 +385,36 @@ def test_blocks_fill_in_any_order(scheme, params):
                                tuple(var[rows] for var in variances), full.positions)
     for x, y in zip((growth, *variances), (full.growth, *full.variances)):
         assert x.tobytes(order="F") == y.tobytes(order="F")
+    every = simulate(scheme, params, grid, n_paths, seed=23)
+    for x, y in zip((growth, *variances), (every.growth, *every.variances)):
+        assert x.tobytes(order="F") == y[:, list(columns)].tobytes(order="F")
+
+
+def test_more_block_threads_than_cores_fill_every_block_once(monkeypatch):
+    # 23 small blocks on 5 block threads, each with its state-stage helper,
+    # switching threads every microsecond: a block taken twice or never, or a
+    # state update run out of step, changes the bytes; a lost handoff hangs
+    n_paths, blocks, switch = 1000, 23, sys.getswitchinterval()
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", -(-n_paths // blocks))
+    monkeypatch.setattr(simulation, "_usable_cores", lambda: 5)
+    grid = TimeGrid(0.25, 4)
+    for scheme in ("aes", "euler"):
+        serial = PathSet(grid, ZHANG.s0, np.empty((n_paths, 5), order="F"), np.empty((2, n_paths, 5)))
+        for block_id in range(blocks):
+            rows = slice(block_id * simulation.BLOCK_SIZE, (block_id + 1) * simulation.BLOCK_SIZE)
+            _BLOCK_KERNELS[scheme](ZHANG, grid, rng_stream(31, block_id), serial.growth[rows],
+                                   serial.variances[:, rows], serial.positions)
+        result = []
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(simulate(scheme, ZHANG, grid, n_paths, 31)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not worker.is_alive() and len(result) == 1
+        assert result[0].growth.tobytes() == serial.growth.tobytes()
+        assert result[0].variances.tobytes() == serial.variances.tobytes()
 
 
 @pytest.mark.parametrize("columns, message", [
