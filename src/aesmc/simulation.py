@@ -42,12 +42,13 @@ thread fills it, in whatever order.
 
 Execution is threaded, in one process, and changes no byte. ``simulate``
 works through its blocks on ``min(usable cores, blocks)`` threads, the
-calling thread one of them, so a one-block call starts no block thread. Each
-block kernel has two stages. Its stream stage runs on the block's thread and
-makes every draw, in the contract order: the χ² variance chain and the
-normals for AES, the normals only for Euler. Its state stage runs on one
-helper thread per block, one step behind the draws and never further: the
-AES log-price update, the whole truncated-Euler update, and ``_store``.
+calling thread one of them, so a one-block call starts no block thread. The
+AES kernel runs each step whole on the block's thread: its draws are almost
+all of a step, and its log-price update is too small to pay for a handover.
+The Euler kernel has two stages. Its stream stage runs on the block's thread
+and makes every normal draw in the contract order. Its state stage runs on
+one helper thread per block, one step behind the draws and never further:
+the whole truncated-Euler update and ``_store``.
 """
 from __future__ import annotations
 
@@ -223,7 +224,7 @@ class _StateStage:
         self._idle = threading.Lock()     # held from a push until its advance returns
         self._ready = threading.Lock()    # released when a step (or None, to stop) is handed over
         self._ready.acquire()
-        self._thread = threading.Thread(target=self._serve)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def _serve(self):
         while True:
@@ -251,9 +252,11 @@ class _StateStage:
         self._ready.release()
 
     def __exit__(self, exc_type, exc, tb):
-        self._idle.acquire()
-        self._step = None
-        self._ready.release()
+        try:  # hand over the stop even if the wait is interrupted, so the helper never waits forever
+            self._idle.acquire()
+        finally:
+            self._step = None
+            self._ready.release()
         self._thread.join()
         if exc_type is None and self._error is not None:
             raise self._error
@@ -284,9 +287,12 @@ def _aes_block(params, grid, stream, growth, variances, positions):
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
     x, v = _start_block(factors, growth, variances, positions)
     term = np.empty(count)
-
-    def advance(k, v, v_next, z):  # state stage: the log-price update from step k-1 to k
-        nonlocal x
+    for i in range(grid.steps):
+        v_next = [
+            cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
+            for f, vj in zip(factors, v)
+        ]
+        z = [sample_standard_normal(stream, size=count) for _ in factors]
         # Drift terms, then the v_next terms, then the diffusion terms: any
         # other summation order changes the last bits of every path.
         x += c0
@@ -298,17 +304,8 @@ def _aes_block(params, grid, stream, growth, variances, positions):
             np.multiply(vj, c, out=term)
             np.sqrt(term, out=term)
             x += np.multiply(term, zj, out=term)
-        _store(k, x, v_next, growth, variances, positions)
-
-    with _StateStage(advance) as state:  # stream stage: the variance chain and the normals
-        for i in range(grid.steps):
-            v_next = [
-                cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
-                for f, vj in zip(factors, v)
-            ]
-            z = [sample_standard_normal(stream, size=count) for _ in factors]
-            state.push(i + 1, v, v_next, z)
-            v = v_next
+        v = v_next
+        _store(i + 1, x, v, growth, variances, positions)
 
 
 def _euler_block(params, grid, stream, growth, variances, positions):

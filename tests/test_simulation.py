@@ -1,4 +1,5 @@
 import math
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -288,7 +289,7 @@ def test_a_failed_state_update_surfaces_and_leaves_no_thread_behind(monkeypatch,
     store = simulation._store
 
     def failing_store(k, *args):
-        if k == 2:  # a step the state stage stores, on its helper thread
+        if k == 2:  # on Euler's state-stage helper thread, or on the AES block's thread
             raise RuntimeError(f"store failed at grid index {k}")
         store(k, *args)
 
@@ -297,6 +298,35 @@ def test_a_failed_state_update_surfaces_and_leaves_no_thread_behind(monkeypatch,
     with pytest.raises(RuntimeError, match="store failed at grid index 2"):
         simulate(scheme, ZHANG, TimeGrid(0.25, 5), n_paths, 3)
     assert threading.active_count() == before
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_an_interrupted_exit_still_stops_the_state_stage_helper():
+    # a signal that lands while leaving the stage waits for the last step
+    # (Ctrl-C, say) must still hand the helper its stop, or the helper would
+    # wait for a step forever once its current one returns
+    def interrupt(signum, frame):
+        raise _Interrupted
+
+    release = threading.Event()
+    stage = simulation._StateStage(lambda: release.wait(timeout=30))
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    main = threading.get_ident()
+    timer = threading.Timer(0.5, signal.pthread_kill, (main, signal.SIGUSR1))
+    try:
+        with pytest.raises(_Interrupted):
+            with stage:
+                stage.push()
+                timer.start()  # the signal arrives while __exit__ waits on the step
+    finally:
+        timer.join()
+        signal.signal(signal.SIGUSR1, previous)
+        release.set()
+    stage._thread.join(timeout=10)
+    assert not stage._thread.is_alive()
 
 
 @pytest.mark.parametrize("scheme", ["aes", "euler"])
@@ -391,9 +421,10 @@ def test_blocks_fill_in_any_order(scheme, params):
 
 
 def test_more_block_threads_than_cores_fill_every_block_once(monkeypatch):
-    # 23 small blocks on 5 block threads, each with its state-stage helper,
-    # switching threads every microsecond: a block taken twice or never, or a
-    # state update run out of step, changes the bytes; a lost handoff hangs
+    # 23 small blocks on 5 block threads, each Euler block with its
+    # state-stage helper, switching threads every microsecond: a block taken
+    # twice or never, or a state update run out of step, changes the bytes;
+    # a lost handoff hangs
     n_paths, blocks, switch = 1000, 23, sys.getswitchinterval()
     monkeypatch.setattr(simulation, "BLOCK_SIZE", -(-n_paths // blocks))
     monkeypatch.setattr(simulation, "_usable_cores", lambda: 5)
