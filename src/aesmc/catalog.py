@@ -182,7 +182,7 @@ def table_specs(table_id) -> list[ExperimentSpec]:
 def _at_scale(spec: ExperimentSpec, scale, runs, seed) -> ExperimentSpec:
     """``spec`` at the given scale and run count, and with ``seed`` as its base seed when given."""
     spec = scaled(spec, scale, runs)
-    return spec if seed is None else replace(spec, base_seed=int(seed))
+    return spec if seed is None else replace(spec, base_seed=seed)
 
 
 def run_table(table_id, *, scale, runs, seed=None, out_dir) -> list[Path]:

@@ -23,7 +23,7 @@ import numpy as np
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
 from .sampling import UINT64_LIMIT
-from .simulation import SCHEMES, TimeGrid, _integral, simulate
+from .simulation import SCHEMES, TimeGrid, _count, _integral, simulate
 
 CSV_COLUMNS = [
     "experiment", "case", "scheme", "n_steps", "n_paths", "runs",
@@ -118,15 +118,11 @@ def scaled(spec: ExperimentSpec, scale: int, runs: int | None = None) -> Experim
     ``scale=1`` reproduces the full protocol (paper scale). Tolerances used
     against full-scale targets should widen by roughly sqrt(scale).
     """
-    scale = int(scale)
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    scale = _count("scale", scale)
     n_paths = max(1, spec.n_paths // scale)
     if runs is None:
-        effective_runs = spec.runs if scale == 1 else min(spec.runs, DESK_RUNS)
-    else:
-        effective_runs = int(runs)
-    return replace(spec, n_paths=n_paths, runs=effective_runs)
+        runs = spec.runs if scale == 1 else min(spec.runs, DESK_RUNS)
+    return replace(spec, n_paths=n_paths, runs=runs)
 
 
 @dataclass

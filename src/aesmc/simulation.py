@@ -41,21 +41,21 @@ full block's paths are the same whatever the total path count, and whichever
 thread fills it, in whatever order.
 
 Execution is threaded, in one process, and changes no byte. ``simulate``
-works through its blocks on ``min(usable cores, blocks)`` threads, the
-calling thread one of them, so a one-block call starts no block thread. The
-AES kernel runs each step whole on the block's thread: its draws are almost
-all of a step, and its log-price update is too small to pay for a handover.
-The Euler kernel has two stages. Its stream stage runs on the block's thread
-and makes every normal draw in the contract order. Its state stage runs on
-one helper thread per block, one step behind the draws and never further:
-the whole truncated-Euler update and ``_store``.
+fills its blocks on a pool of ``min(usable cores, blocks)`` threads; a
+one-block call fills its block on the calling thread and starts no block
+thread. The AES kernel runs each step whole on the block's thread: its
+draws are almost all of a step, and its log-price update is too small to
+pay for a handover. The Euler kernel has two stages. Its stream stage runs
+on the block's thread and makes every normal draw in the contract order.
+Its state stage, the whole truncated-Euler update and ``_store``, runs on a
+one-worker executor, one step behind the draws and never further.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,61 +207,6 @@ def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
 # ``positions`` is the path set's map from each stored grid index to its column.
 # ---------------------------------------------------------------------------
 
-class _StateStage:
-    """A helper thread that runs ``advance(*step)`` for each step pushed to it, in order.
-
-    ``push`` waits until the previous step's ``advance`` has returned, so the
-    helper runs at most one step behind the caller, then hands the step over
-    and returns at once. Leaving the ``with`` block waits for the last step
-    and joins the thread. An exception raised by ``advance`` is re-raised by
-    the next ``push`` or on leaving the block, whichever comes first.
-    """
-
-    def __init__(self, advance):
-        self._advance = advance
-        self._step = None
-        self._error = None
-        self._idle = threading.Lock()     # held from a push until its advance returns
-        self._ready = threading.Lock()    # released when a step (or None, to stop) is handed over
-        self._ready.acquire()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def _serve(self):
-        while True:
-            self._ready.acquire()
-            if self._step is None:
-                return
-            try:
-                self._advance(*self._step)
-            except BaseException as exc:
-                self._error = exc
-                return
-            finally:
-                self._idle.release()
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def push(self, *step):
-        self._idle.acquire()
-        if self._error is not None:
-            self._idle.release()
-            raise self._error
-        self._step = step
-        self._ready.release()
-
-    def __exit__(self, exc_type, exc, tb):
-        try:  # hand over the stop even if the wait is interrupted, so the helper never waits forever
-            self._idle.acquire()
-        finally:
-            self._step = None
-            self._ready.release()
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
-
-
 def _store(k, x, v, growth, variances, positions):
     """Write the state (x, v) at grid index ``k`` into its column, if the path set stores it."""
     j = positions.get(k)
@@ -334,11 +279,15 @@ def _euler_block(params, grid, stream, growth, variances, positions):
         v = v_next
         _store(k, x, v, growth, variances, positions)
 
-    with _StateStage(advance) as state:  # stream stage: the normals only
+    with ThreadPoolExecutor(max_workers=1) as state:  # stream stage: the normals only
+        step = None
         for i in range(grid.steps):
             z_v = [sample_standard_normal(stream, size=count) for _ in factors]
             z_x = [sample_standard_normal(stream, size=count) for _ in factors]
-            state.push(i + 1, z_v, z_x)
+            if step is not None:  # the state stage runs at most one step behind
+                step.result()
+            step = state.submit(advance, i + 1, z_v, z_x)
+        step.result()
 
 
 _BLOCK_KERNELS = {"aes": _aes_block, "euler": _euler_block}
@@ -355,11 +304,16 @@ def _usable_cores() -> int:
 def stored_columns(grid: TimeGrid, columns=None) -> tuple[int, ...]:
     """The grid indices to store: every index 0..M when ``columns`` is None.
 
-    Given indices must lie in 0..M, be strictly increasing and end at the
-    maturity index M; anything else is a ValueError that names the index.
+    Given indices must be integers (``_integral``), lie in 0..M, be strictly
+    increasing and end at the maturity index M; anything else is a
+    ValueError that names the index.
     """
     if columns is None:
         return tuple(range(grid.steps + 1))
+    columns = tuple(columns)
+    fractional = [k for k in columns if not _integral(k)]
+    if fractional:
+        raise ValueError(f"column index {fractional[0]!r} is not an integer")
     idx = tuple(int(k) for k in columns)
     outside = [k for k in idx if not 0 <= k <= grid.steps]
     if outside:
@@ -389,30 +343,19 @@ def simulate(scheme: str, params, grid: TimeGrid, n_paths: int, seed: int, colum
     paths = PathSet(grid, params.s0, growth, variances, columns=columns)
     kernel = _BLOCK_KERNELS[scheme]
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    todo, taking, failed = iter(range(n_blocks)), threading.Lock(), []
 
-    def work():  # fill blocks until none is left or one has failed
-        try:
-            while not failed:
-                with taking:
-                    block_id = next(todo, None)
-                if block_id is None:
-                    return
-                rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
-                kernel(params, grid, rng_stream(seed, block_id), growth[rows], variances[:, rows],
-                       paths.positions)
-        except BaseException as exc:
-            failed.append(exc)
+    def fill(block_id):
+        rows = slice(block_id * BLOCK_SIZE, (block_id + 1) * BLOCK_SIZE)
+        kernel(params, grid, rng_stream(seed, block_id), growth[rows], variances[:, rows], paths.positions)
 
-    threads = [threading.Thread(target=work) for _ in range(1, min(_usable_cores(), n_blocks))]
+    workers = min(_usable_cores(), n_blocks)
+    if workers == 1:
+        for block_id in range(n_blocks):
+            fill(block_id)
+        return paths
+    pool = ThreadPoolExecutor(workers)
     try:
-        for thread in threads:
-            thread.start()
-        work()
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if failed:
-        raise failed[0]
+        list(pool.map(fill, range(n_blocks)))
+    finally:  # once a block has failed, start no other
+        pool.shutdown(cancel_futures=True)
     return paths

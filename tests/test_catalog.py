@@ -105,6 +105,13 @@ def test_run_table_writes_csv_and_json(tmp_path):
     assert payload["n_paths"] == 1000 and len(payload["cases"]) == 3
 
 
+def test_run_table_refuses_a_fractional_seed(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="base_seed must be an integer, got 8000.7"):
+        run_table("3", scale=1000, runs=1, seed=8000.7, out_dir=out)
+    assert not out.exists()
+
+
 def test_run_figure_fig1_smoke(tmp_path):
     files = run_figure("fig1", scale=1000, runs=1, out_dir=tmp_path)
     csvs = [p for p in files if p.suffix == ".csv"]

@@ -238,8 +238,14 @@ def test_scaled_divides_paths_and_caps_runs():
     assert full.n_paths == 1_000_000 and full.runs == 20
     custom = scaled(spec, 100, runs=3)
     assert custom.n_paths == 10_000 and custom.runs == 3
-    with pytest.raises(ValueError):
-        scaled(spec, 0)
+    assert scaled(spec, 10.0) == desk
+    # a scale or run count is refused by name, never truncated to its int
+    for scale in (0, 2.5, True):
+        with pytest.raises(ValueError, match=f"scale must be a positive integer, got {scale!r}"):
+            scaled(spec, scale)
+    for runs in (2.5, True):
+        with pytest.raises(ValueError, match=f"runs must be an integer, got {runs!r}"):
+            scaled(spec, 10, runs=runs)
 
 
 def test_emit_csv_schema_and_missing_reference(tmp_path):

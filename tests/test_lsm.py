@@ -50,8 +50,8 @@ def test_schedule_invariants():
 
 
 @pytest.mark.parametrize("indices", [
-    (3, 2, 6), (2, 2, 6), (2, 7), (-1, 6), (1, 2), (),
-], ids=["unsorted", "duplicate", "past-maturity", "negative", "maturity-missing", "empty"])
+    (3, 2, 6), (2, 2, 6), (2, 7), (-1, 6), (1, 2), (), (3.7, 6.0),
+], ids=["unsorted", "duplicate", "past-maturity", "negative", "maturity-missing", "empty", "fraction"])
 def test_schedule_and_simulate_share_one_index_rule(indices):
     grid = TimeGrid(0.25, 6)
     with pytest.raises(ValueError) as by_schedule:

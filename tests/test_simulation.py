@@ -304,29 +304,36 @@ class _Interrupted(Exception):
     pass
 
 
-def test_an_interrupted_exit_still_stops_the_state_stage_helper():
-    # a signal that lands while leaving the stage waits for the last step
-    # (Ctrl-C, say) must still hand the helper its stop, or the helper would
-    # wait for a step forever once its current one returns
+@pytest.mark.parametrize("n_paths", [1000, 2 * BLOCK_SIZE + 37], ids=["one-block", "three-blocks"])
+def test_an_interrupted_simulate_surfaces_and_leaves_no_thread_behind(monkeypatch, n_paths):
+    # a signal (Ctrl-C, say) that lands while simulate waits on an Euler
+    # state update must come out of simulate, and only once every thread
+    # simulate started has ended
+    release = threading.Event()
+    store = simulation._store
+
+    def blocking_store(k, *args):
+        if k == 2:  # on the state stage's helper thread
+            release.wait(timeout=30)
+        store(k, *args)
+
     def interrupt(signum, frame):
+        release.set()
         raise _Interrupted
 
-    release = threading.Event()
-    stage = simulation._StateStage(lambda: release.wait(timeout=30))
+    monkeypatch.setattr(simulation, "_store", blocking_store)
+    before = threading.active_count()
     previous = signal.signal(signal.SIGUSR1, interrupt)
-    main = threading.get_ident()
-    timer = threading.Timer(0.5, signal.pthread_kill, (main, signal.SIGUSR1))
+    timer = threading.Timer(0.5, signal.pthread_kill, (threading.get_ident(), signal.SIGUSR1))
     try:
+        timer.start()
         with pytest.raises(_Interrupted):
-            with stage:
-                stage.push()
-                timer.start()  # the signal arrives while __exit__ waits on the step
+            simulate("euler", ZHANG, TimeGrid(0.25, 5), n_paths, 3)
     finally:
         timer.join()
         signal.signal(signal.SIGUSR1, previous)
         release.set()
-    stage._thread.join(timeout=10)
-    assert not stage._thread.is_alive()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("scheme", ["aes", "euler"])
@@ -455,7 +462,12 @@ def test_more_block_threads_than_cores_fill_every_block_once(monkeypatch):
     ((2, 7), "column index 7 is outside the grid's 0..6"),
     ((1, 2), "maturity index 6"),
     ((), "maturity index 6"),
-], ids=["unsorted", "duplicate", "negative", "past-maturity", "no-maturity", "empty"])
+    ((2.5, 6), "column index 2.5 is not an integer"),
+    ((1.9, 6), "column index 1.9 is not an integer"),
+    ((True, 6), "column index True is not an integer"),
+    ((2, 6.5), "column index 6.5 is not an integer"),
+], ids=["unsorted", "duplicate", "negative", "past-maturity", "no-maturity", "empty", "fraction",
+        "fraction-below-two", "bool", "fractional-maturity"])
 def test_simulate_refuses_bad_columns(columns, message):
     with pytest.raises(ValueError, match=message):
         simulate("aes", EQ5, TimeGrid(0.25, 6), 10, seed=1, columns=columns)
