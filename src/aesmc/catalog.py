@@ -75,10 +75,10 @@ def _model_from_entry(entry: dict):
     Inline ``model`` fields override the preset's, and fields not given are
     taken from the preset where the names match; ``kind`` defaults to the
     preset's model kind, else heston. A missing or unknown preset, kind or
-    field, a field that is not a number, a value that ``check_values``
-    refuses, or a missing maturity raises a ValueError that names it. The
-    Feller condition is left to ``simulate``, which warns. The strike is None
-    when neither gives one.
+    field, a field, strike or maturity that is not a number, a value that
+    ``check_values`` refuses, or a missing maturity raises a ValueError that
+    names it. The Feller condition is left to ``simulate``, which warns. The
+    strike is None when neither gives one.
     """
     model = strike = maturity = None
     if "preset" in entry:
@@ -98,8 +98,7 @@ def _model_from_entry(entry: dict):
         unknown = sorted(set(inline) - set(names))
         if unknown:
             raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-        non_numeric = sorted(n for n, v in inline.items()
-                             if isinstance(v, bool) or not isinstance(v, numbers.Real))
+        non_numeric = sorted(n for n, v in inline.items() if not _is_number(v))
         if non_numeric:
             raise ValueError(f"{cls.__name__} field(s) must be numbers: {', '.join(non_numeric)}")
         if model is not None:
@@ -114,12 +113,24 @@ def _model_from_entry(entry: dict):
     maturity = entry.get("maturity", maturity)
     if maturity is None:
         raise ValueError("missing 'maturity': give it in the entry or through a preset")
-    return model, None if strike is None else float(strike), float(maturity)
+    return model, None if strike is None else number("strike", strike), number("maturity", maturity)
+
+
+def _is_number(value) -> bool:
+    """The one number rule of an entry: a real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def number(key: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``key`` unless it is a YAML number."""
+    if not _is_number(value):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def number_list(key: str, value) -> tuple:
-    """``value`` as a tuple; a ValueError naming ``key`` unless it is a YAML list."""
-    if not isinstance(value, (list, tuple)):
+    """``value`` as a tuple; a ValueError naming ``key`` unless it is a YAML list of numbers."""
+    if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
         raise ValueError(f"{key!r} must be a list of numbers, got {value!r}")
     return tuple(value)
 

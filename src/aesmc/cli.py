@@ -1,9 +1,10 @@
 """Command line front end: price, tables.
 
 Every subcommand honors --seed and --out, runs in one process and is
-deterministic given its flags. ``price`` turns its flags into one catalog
+deterministic given its flags. ``price`` takes its model from --preset or
+from the first entry of --config, and turns its flags into one catalog
 entry: each flag's dest is the entry key it sets (``--steps`` is
-``n_steps``, ``--spot`` the inline model's ``s0``), so a flag means what the
+``n_steps``, ``--spot`` the model's ``s0``), so a flag means what the
 same YAML key means in a config file, and a flag is given when its value is
 not None. ``price`` starts from ``PRICE_ENTRY`` and builds the entry's spec
 with ``catalog.experiment_from_entry``, and its --json and --out give the
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,6 @@ from . import catalog, experiments
 from .models import PRESETS
 from .simulation import SCHEMES
 
-# Inline model fields with one flag each; --spot sets s0 and --model sets kind.
-MODEL_FIELDS = sorted({f.name for cls in catalog.MODEL_KINDS.values() for f in fields(cls)} - {"s0"})
 # price's built-in entry; the first --config entry, then every flag given, override it.
 PRICE_ENTRY = {"scheme": "aes", "n_steps": 12, "schedule": "american", "n_paths": 100_000,
                "runs": 1, "base_seed": 0, "vary": "spot"}
@@ -37,22 +35,18 @@ def _entry(args) -> dict:
 
     ``PRICE_ENTRY``, then the first entry of --config, then every flag given
     (even one given at its built-in value), each layer overriding the one
-    before; inline model fields merge field by field. The entry keeps one
-    case: the --spot or --strike its ``vary`` names, else its first value,
-    else its model's spot or strike. An inline model with no s0 and no
-    preset to give one is a ValueError that names --spot.
+    before; --spot overrides the model's s0 alone. The entry keeps one case:
+    the --spot or --strike its ``vary`` names, else its first value, else
+    its model's spot or strike.
     """
     entry = {"name": "price", **PRICE_ENTRY}
     if args.config:
         entry.update(catalog.table_entries(args.config)[0])
         entry.pop("reference", None)
     given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
-    inline = {k: given.pop(k) for k in ("kind", "s0", *MODEL_FIELDS) if k in given}
-    if inline:
-        given["model"] = {**entry.get("model", {}), **inline}
+    if "s0" in given:
+        given["model"] = {**entry.get("model", {}), "s0": given.pop("s0")}
     entry.update(given)
-    if "model" in entry and "preset" not in entry and "s0" not in entry["model"]:
-        raise ValueError("an inline --model needs --spot, the initial asset price (the model's s0)")
     spot = entry["vary"] == "spot"
     if getattr(args, "s0" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
@@ -126,16 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each flag that sets an entry key has that key (or inline model field) as
-    # its dest and None as its default, so it is given exactly when not None.
-    p = sub.add_parser("price", help="price one option configuration",
+    # No flag is read from a prefix of its name, so an unknown flag such as
+    # --r is refused, never taken for --runs. Each flag that sets an entry key
+    # has that key (--spot: the model's s0) as its dest and None as its
+    # default, so it is given exactly when not None.
+    p = sub.add_parser("price", help="price one option configuration", allow_abbrev=False,
                        epilog="built-in values: " + ", ".join(f"{k}: {v}" for k, v in PRICE_ENTRY.items()))
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named parameter set (supplies model, strike, maturity)")
-    p.add_argument("--model", dest="kind", choices=list(catalog.MODEL_KINDS),
-                   help="model kind when specifying parameters inline")
-    for name in MODEL_FIELDS:
-        p.add_argument("--" + name.replace("_", "-"), type=float, help=f"model parameter {name}")
     p.add_argument("--spot", dest="s0", type=float, help="initial asset price: the model's s0")
     p.add_argument("--maturity", type=float, help="maturity in years")
     p.add_argument("--scheme", choices=SCHEMES, help="simulation scheme")
@@ -148,12 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--american", dest="schedule", action="store_const", const="american",
                        help="exercise at every grid step (American proxy)")
     p.add_argument("--runs", type=int, help="independent runs to average")
-    p.add_argument("--config", help="experiment config file supplying defaults (flags override)")
+    p.add_argument("--config", help="experiment config file whose first entry supplies the model "
+                                    "and defaults (flags override)")
     p.add_argument("--json", action="store_true", help="print the experiment report as JSON")
     p.add_argument("--out", help="also write the report's CSV and JSON into this directory, as tables does")
     p.set_defaults(func=cmd_price, subparser=p)
 
-    t = sub.add_parser("tables", help="reproduce a source table or figure dataset")
+    t = sub.add_parser("tables", help="reproduce a source table or figure dataset", allow_abbrev=False)
     t.add_argument("--id", help=f"comma list of: {', '.join(catalog.IDS)}")
     t.add_argument("--config", help="run experiments from a YAML config file instead")
     t.add_argument("--scale", type=int, default=10,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
-from .sampling import UINT64_LIMIT
-from .simulation import SCHEMES, TimeGrid, _count, _integral, simulate
+from .sampling import UINT64_LIMIT, _integral
+from .simulation import SCHEMES, TimeGrid, _count, simulate
 
 CSV_COLUMNS = [
     "experiment", "case", "scheme", "n_steps", "n_paths", "runs",
@@ -53,6 +53,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         errors = []
+        # the name is the stem of the report files
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name:
+            errors.append(f"name must be a nonempty file name with no '/', got {self.name!r}")
         if self.scheme not in SCHEMES:
             errors.append(f"scheme must be {' or '.join(map(repr, SCHEMES))}, got {self.scheme!r}")
         if self.vary not in ("spot", "strike"):

@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .models import PutPayoff
-from .simulation import PathSet, TimeGrid, _integral, stored_columns
+from .sampling import _integral
+from .simulation import PathSet, TimeGrid, stored_columns
 
 # Singular values below RCOND * largest are treated as zero in the solve.
 RCOND = 1e-10

@@ -19,6 +19,7 @@ uniform power correction rather than a small-shape rejection sampler.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,13 +30,24 @@ MAX_POISSON_RATE = 1.0e9
 UINT64_LIMIT = 2**64
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer or a finite number equal to its int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or (math.isfinite(value) and int(value) == value)
+
+
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """The Philox generator keyed by ``(seed, stream_id)``, each an unsigned 64-bit integer.
 
     Two generators built from the same key produce bit-identical sequences;
     generators with distinct ``stream_id`` are statistically independent.
+    A fractional, bool or non-finite ``seed`` or ``stream_id`` is a
+    ValueError that names it.
     """
     for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if not _integral(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(value) < UINT64_LIMIT:
             raise ValueError(f"{name} must be an unsigned 64-bit integer, got {int(value)}")
     # an explicit uint64 array: NumPy turns the list [2**64 - 1, 5] into the key [0, 5]

@@ -53,7 +53,6 @@ one-worker executor, one step behind the draws and never further.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,15 +60,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import validate
-from .sampling import rng_stream, sample_noncentral_chisq, sample_standard_normal
+from .sampling import _integral, rng_stream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is a finite number equal to its int, and not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and int(value) == value)
 
 
 def _count(name: str, value) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -28,6 +29,10 @@ VARY_SPOT_CONFIG = (
     "    runs: 1\n"
     "    base_seed: 11\n"
 )
+
+# a price config whose one entry gives its model inline; price's built-in entry gives the rest
+INLINE_HESTON = ("experiments:\n  - model: {kind: heston, s0: 100.0, v0: 0.04, r: 0.05, kappa: 2.0,"
+                 " nu_bar: 0.04, gamma: 0.5, rho: -0.5}\n    strike: 100.0\n    maturity: 0.25\n")
 
 PRICE_SMOKE = [
     "price", "--preset", "feller-violating", "--scheme", "aes",
@@ -71,24 +76,45 @@ def test_price_desk_scale_bermudan_case(capsys):
     assert abs(payload["cases"][0]["mean_price"] - 9.966) / 9.966 < 0.01
 
 
-def test_price_inline_model_missing_strike_errors(capsys):
-    argv = [
-        "price", "--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
-        "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
-        "--maturity", "0.25", "--steps", "2", "--paths", "500", "--runs", "1",
-    ]
+def test_price_inline_model_missing_strike_errors(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(INLINE_HESTON.replace("    strike: 100.0\n", ""))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code != 0
-    assert "strike" in capsys.readouterr().err
+        main(["price", "--config", str(cfg), "--steps", "2", "--paths", "500", "--runs", "1"])
+    assert exc.value.code == 2
+    assert "missing 'strike'" in capsys.readouterr().err
 
 
 def test_price_requires_preset_or_model(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--steps", "2", "--paths", "100"])
-    assert exc.value.code != 0
-    err = capsys.readouterr().err
-    assert "--preset" in err or "--model" in err
+    assert exc.value.code == 2
+    assert "experiment entry needs a 'preset' or an inline 'model'" in capsys.readouterr().err
+
+
+# one per inline model field, none of them a flag: a model comes from --preset
+# or a --config entry, and --spot sets only its s0
+REMOVED_MODEL_FLAGS = ["--model", "--v0", "--r", "--kappa", "--nu-bar", "--gamma", "--rho", "--v0-1",
+                       "--kappa-1", "--nu-bar-1", "--gamma-1", "--v0-2", "--kappa-2", "--nu-bar-2",
+                       "--gamma-2", "--rho-13", "--rho-24"]
+
+
+@pytest.mark.parametrize("flag", REMOVED_MODEL_FLAGS)
+def test_inline_model_flags_are_refused(flag, monkeypatch, capsys):
+    _refuse_simulating(monkeypatch)
+    value = "heston" if flag == "--model" else "0.5"
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--preset", "feller-violating", "--paths", "100", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_flag_counts_are_pinned():
+    # the CLI's flag count, help aside; edit this test to add or remove a flag
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    counts = {name: sum(1 for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction))
+              for name, p in subparsers.choices.items()}
+    assert counts == {"price": 14, "tables": 6}
 
 
 PRICE_COUNTS = ["price", "--preset", "feller-violating", "--steps", "2", "--paths", "1000", "--runs", "1"]
@@ -196,18 +222,6 @@ def test_bad_experiment_is_refused_before_anything_runs(command, flags, named, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["price"])
-def test_inline_model_without_spot_names_the_spot_flag(command, monkeypatch, capsys):
-    _refuse_simulating(monkeypatch)
-    argv = [command, *INLINE_HESTON[:2], *INLINE_HESTON[4:]]
-    assert "--spot" in INLINE_HESTON[2:4] and "--spot" not in argv
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "an inline --model needs --spot" in err and "field(s): s0" not in err
-
-
 def test_price_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(VARY_SPOT_CONFIG)
@@ -252,10 +266,21 @@ SCHEDULE_BOOL = ENTRY.replace("schedule: american", "schedule: true") + "    pre
 DATES_ABOVE_STEPS = (ENTRY + "    preset: feller-holding\n"
                      + ENTRY.split("experiments:\n")[1].replace("schedule: american", "schedule: 3")
                      + "    preset: feller-holding\n")
-# a first entry that is valid, then one with a model value out of range
+# an entry with a model value out of range; and a valid first entry, then that one
+GAMMA_NEGATIVE_FIRST = ENTRY + "    preset: feller-holding\n    model: {gamma: -1.0}\n"
 GAMMA_NEGATIVE = (ENTRY + "    preset: feller-holding\n"
-                  + ENTRY.split("experiments:\n")[1]
-                  + "    preset: feller-holding\n    model: {gamma: -1.0}\n")
+                  + GAMMA_NEGATIVE_FIRST.split("experiments:\n")[1])
+# a number where YAML gives a list, a bool or a string
+VALUES_ITEM_A_LIST = ENTRY.replace("values: [9.0]", "values: [[1]]") + "    preset: feller-holding\n"
+VALUES_ITEM_A_BOOL = ENTRY.replace("values: [9.0]", "values: [true]") + "    preset: feller-holding\n"
+STRIKE_A_LIST = ENTRY + "    preset: feller-holding\n    strike: [1]\n"
+STRIKE_A_STRING = ENTRY + "    preset: feller-holding\n    strike: '100'\n"
+MATURITY_A_STRING = ENTRY + "    preset: feller-holding\n    maturity: 'x'\n"
+PRICES_ITEM_A_LIST = ENTRY + "    preset: feller-holding\n    reference: {prices: [[1]]}\n"
+# an experiment name that is not one file name
+NAME_AN_INTEGER = ENTRY.replace("name: bad", "name: 5") + "    preset: feller-holding\n"
+NAME_A_PATH = ENTRY.replace("name: bad", "name: a/b") + "    preset: feller-holding\n"
+NAME_DOTDOT = ENTRY.replace("name: bad", "name: '..'") + "    preset: feller-holding\n"
 # files that are not a table config: each is refused by the file's name
 BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
               "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
@@ -291,13 +316,24 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (GAMMA_NEGATIVE, "gamma must be positive"),
     (ENTRY + "    preset: feller-holding\n    model: {kind: double_heston}\n",
      "unknown model kind 'double_heston'"),
+    (VALUES_ITEM_A_LIST, "'values' must be a list of numbers, got [[1]]"),
+    (VALUES_ITEM_A_BOOL, "'values' must be a list of numbers, got [True]"),
+    (STRIKE_A_LIST, "'strike' must be a number, got [1]"),
+    (STRIKE_A_STRING, "'strike' must be a number, got '100'"),
+    (MATURITY_A_STRING, "'maturity' must be a number, got 'x'"),
+    (PRICES_ITEM_A_LIST, "'reference.prices' must be a list of numbers, got [[1]]"),
+    (NAME_AN_INTEGER, "name must be a nonempty file name with no '/', got 5"),
+    (NAME_A_PATH, "name must be a nonempty file name with no '/', got 'a/b'"),
+    (NAME_DOTDOT, "name must be a nonempty file name with no '/', got '..'"),
     *NOT_A_TABLE,
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
         "reference-not-a-mapping", "runs-not-an-integer", "n-paths-not-an-integer",
         "n-steps-not-an-integer", "base-seed-not-an-integer", "schedule-not-an-integer",
         "schedule-bool", "gamma-negative",
-        "double-heston-underscore-kind", *NOT_A_TABLE_IDS])
+        "double-heston-underscore-kind", "values-item-a-list", "values-item-a-bool",
+        "strike-a-list", "strike-a-string", "maturity-a-string", "reference-prices-item-a-list",
+        "name-an-integer", "name-a-path", "name-dotdot", *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -314,11 +350,13 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
      "date count 30 exceeds n_steps 12"),
     (["--config", "{config}"], NON_NUMERIC_RHO, "must be numbers: rho"),
     (["--config", "{config}"], VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
-    (["--preset", "feller-violating", "--gamma", "-1", "--paths", "100"], NON_NUMERIC_RHO,
-     "gamma must be positive"),
+    (["--config", "{config}"], GAMMA_NEGATIVE_FIRST, "gamma must be positive"),
+    # an inline model with no s0 and no preset to give one
+    (["--config", "{config}"], INLINE_HESTON.replace(" s0: 100.0,", ""),
+     "inline model is missing HestonParams field(s): s0"),
     *((["--config", "{config}"], config, named) for config, named in NOT_A_TABLE),
 ], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative",
-        *NOT_A_TABLE_IDS])
+        "inline-model-without-s0", *NOT_A_TABLE_IDS])
 def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(config)
@@ -328,10 +366,11 @@ def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, caps
     assert named in capsys.readouterr().err
 
 
-def test_feller_violation_warns_once_per_simulation(capsys):
+def test_feller_violation_warns_once_per_simulation(tmp_path, capsys):
     # checking the entry's model values adds no Feller warning to simulate's
-    argv = ["price", "--preset", "feller-violating", "--gamma", "0.9", "--steps", "2",
-            "--paths", "100", "--runs", "3"]
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("experiments:\n  - preset: feller-violating\n    model: {gamma: 0.9}\n")
+    argv = ["price", "--config", str(cfg), "--steps", "2", "--paths", "100", "--runs", "3"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 0
@@ -472,22 +511,24 @@ def test_readme_commands_parse():
 # Golden CLI outputs at pinned seeds. A refactor of how flags become a
 # priced case must reproduce them exactly; timing fields are left out.
 SMALL = ["--paths", "2000", "--runs", "2", "--seed", "42"]
-INLINE_HESTON = ["--model", "heston", "--spot", "100", "--v0", "0.04", "--r", "0.05",
-                 "--kappa", "2", "--nu-bar", "0.04", "--gamma", "0.5", "--rho", "-0.5",
-                 "--strike", "100", "--maturity", "0.25"]
+# a preset with one model field overridden
+PRESET_GAMMA = "experiments:\n  - preset: feller-violating\n    model: {gamma: 0.5}\n"
+# the config file each placeholder of a golden's flags stands for
+GOLDEN_CONFIGS = {"{config}": VARY_SPOT_CONFIG, "{inline-heston}": INLINE_HESTON,
+                  "{preset-gamma}": PRESET_GAMMA}
 
 # (id, price flags, expected untimed view of the --json report; see golden_view);
-# "{config}" stands for a file holding VARY_SPOT_CONFIG
+# each key of GOLDEN_CONFIGS stands for a file holding its config
 GOLDEN_PRICE = [
     ("preset-defaults", ["--preset", "feller-violating"],
      {"mean_price": 3.162065381235175, "run_std": 0.0, "mean(std_errors)": 0.015033577110718618,
       "runs": 1, "n_paths": 100000, "n_steps": 12, "len(schedule_indices)": 12, "scheme": "aes",
       "memory_bytes": 20800000}),
-    ("preset-gamma", ["--preset", "feller-violating", "--gamma", "0.5", *SMALL],
+    ("preset-gamma", ["--config", "{preset-gamma}", *SMALL],
      {"mean_price": 3.2146661157157777, "run_std": 0.13823346499795466,
       "mean(std_errors)": 0.12056934614739066, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 416000}),
-    ("inline-heston", [*INLINE_HESTON, *SMALL],
+    ("inline-heston", ["--config", "{inline-heston}", *SMALL],
      {"mean_price": 3.492986301482149, "run_std": 0.1370433337234062,
       "mean(std_errors)": 0.11747792748143315, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 416000}),
@@ -524,9 +565,11 @@ def golden_view(report: dict) -> dict:
 @pytest.mark.parametrize("flags, expected", [g[1:] for g in GOLDEN_PRICE],
                          ids=[g[0] for g in GOLDEN_PRICE])
 def test_golden_price_json(flags, expected, tmp_path, capsys):
-    cfg = tmp_path / "exp.yaml"
-    cfg.write_text(VARY_SPOT_CONFIG)
-    report = _price_json([str(cfg) if f == "{config}" else f for f in flags], capsys)
+    files = {}
+    for i, (key, text) in enumerate(GOLDEN_CONFIGS.items()):
+        files[key] = tmp_path / f"exp{i}.yaml"
+        files[key].write_text(text)
+    report = _price_json([str(files.get(f, f)) for f in flags], capsys)
     case = report["cases"][0]
     assert case["elapsed_s"] > 0.0 and case["sim_s"] > 0.0 and case["price_s"] > 0.0
     assert len(case["std_errors"]) == report["runs"]

@@ -88,10 +88,17 @@ def test_spec_validation_collects_errors():
     (dict(base_seed=math.nan), "base_seed must be an integer, got nan"),
     (dict(schedule=2.5), "schedule must be a date count or 'american', got 2.5"),
     (dict(schedule=True), "schedule must be a date count or 'american', got True"),
+    # the name is the stem of the report files: one path component
+    (dict(name=5), "name must be a nonempty file name with no '/', got 5"),
+    (dict(name=""), "name must be a nonempty file name with no '/', got ''"),
+    (dict(name="a/b"), "name must be a nonempty file name with no '/', got 'a/b'"),
+    (dict(name="."), "name must be a nonempty file name with no '/', got '.'"),
+    (dict(name=".."), "name must be a nonempty file name with no '/', got '..'"),
 ], ids=["strike-negative", "strike-zero", "strike-inf", "strike-nan", "maturity-zero",
         "maturity-negative", "maturity-nan", "seed-negative", "last-run-seed-past-2**64",
         "seed-2**64", "runs-fraction", "runs-bool", "n-paths-fraction", "n-steps-fraction",
-        "seed-fraction", "seed-nan", "schedule-fraction", "schedule-bool"])
+        "seed-fraction", "seed-nan", "schedule-fraction", "schedule-bool", "name-an-integer",
+        "name-empty", "name-a-path", "name-dot", "name-dotdot"])
 def test_spec_refuses_bad_strike_maturity_and_seed(overrides, named):
     with pytest.raises(ValueError, match=named):
         smoke_spec(**overrides)

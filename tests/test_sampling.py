@@ -24,6 +24,25 @@ def test_stream_key_validation():
         rng_stream(0, 2**64)
     s = rng_stream(2**64 - 1, 5)
     assert list(s.bit_generator.state["state"]["key"]) == [2**64 - 1, 5]
+    assert rng_stream(7.0, np.uint64(3)).standard_normal() == rng_stream(7, 3).standard_normal()
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        rng_stream(10**400)
+
+
+@pytest.mark.parametrize("seed, stream_id, named", [
+    (1.5, 0, "seed must be an integer, got 1.5"),
+    (True, 0, "seed must be an integer, got True"),
+    (float("nan"), 0, "seed must be an integer, got nan"),
+    (float("inf"), 0, "seed must be an integer, got inf"),
+    (0, 2.5, "stream_id must be an integer, got 2.5"),
+    (0, False, "stream_id must be an integer, got False"),
+    (0, float("nan"), "stream_id must be an integer, got nan"),
+], ids=["seed-fraction", "seed-bool", "seed-nan", "seed-inf", "stream-id-fraction", "stream-id-bool",
+        "stream-id-nan"])
+def test_stream_key_is_refused_unless_integral(seed, stream_id, named):
+    # a key is never truncated to its int
+    with pytest.raises(ValueError, match=named):
+        rng_stream(seed, stream_id)
 
 
 @pytest.mark.parametrize("seed, stream_id", [(0, 0), (1, 0), (7, 1), (2**63, 3), (2**64 - 1, 5)])

@@ -264,6 +264,14 @@ def test_simulate_refuses_a_non_integral_path_count():
         assert paths.variances.tobytes() == expected.variances.tobytes()
 
 
+@pytest.mark.parametrize("seed", [1.5, True, math.nan, math.inf])
+def test_simulate_refuses_a_non_integral_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+        simulate("aes", EQ5, TimeGrid(0.25, 4), 100, seed)
+    expected = simulate("euler", EQ5, TimeGrid(0.25, 4), 100, seed=1)
+    assert simulate("euler", EQ5, TimeGrid(0.25, 4), 100, seed=1.0).growth.tobytes() == expected.growth.tobytes()
+
+
 SMALL_GAMMA_REFUSAL = (r"poisson rate above 1e\+09: the CIR noncentrality is out of "
                        r"range; it grows like 1/gamma\^2 as the vol-of-vol")
 
