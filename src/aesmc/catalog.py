@@ -13,7 +13,6 @@ reference prices come from a high-resolution Euler grid priced through
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -74,20 +73,24 @@ def _model_from_entry(entry: dict):
 
     Inline ``model`` fields override the preset's, and fields not given are
     taken from the preset where the names match; ``kind`` defaults to the
-    preset's model kind, else heston. A missing or unknown preset, kind or
-    field, a field, strike or maturity that is not a number, a value that
-    ``check_values`` refuses, or a missing maturity raises a ValueError that
-    names it. The Feller condition is left to ``simulate``, which warns. The
-    strike is None when neither gives one.
+    preset's model kind, else heston. A ``preset`` that is not a name, a
+    ``model`` that is not a mapping, a missing or unknown preset, kind or
+    field, a field that ``check_values`` refuses, or a missing maturity
+    raises a ValueError that names it. The Feller condition is left to
+    ``simulate``, which warns. The strike is None when neither gives one.
     """
     model = strike = maturity = None
     if "preset" in entry:
+        if not isinstance(entry["preset"], str):
+            raise ValueError(f"'preset' must be a preset name, got {entry['preset']!r}")
         try:
             p = preset(entry["preset"])
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
         model, strike, maturity = p.params, p.strike, p.maturity
     if "model" in entry:
+        if not isinstance(entry["model"], dict):
+            raise ValueError(f"'model' must be a mapping, got {entry['model']!r}")
         inline = dict(entry["model"])
         kind = inline.pop("kind", None)
         default = HestonParams if model is None else type(model)
@@ -98,9 +101,6 @@ def _model_from_entry(entry: dict):
         unknown = sorted(set(inline) - set(names))
         if unknown:
             raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-        non_numeric = sorted(n for n, v in inline.items() if not _is_number(v))
-        if non_numeric:
-            raise ValueError(f"{cls.__name__} field(s) must be numbers: {', '.join(non_numeric)}")
         if model is not None:
             inline = {**{n: getattr(model, n) for n in names if hasattr(model, n)}, **inline}
         missing = [n for n in names if n not in inline]
@@ -113,33 +113,7 @@ def _model_from_entry(entry: dict):
     maturity = entry.get("maturity", maturity)
     if maturity is None:
         raise ValueError("missing 'maturity': give it in the entry or through a preset")
-    return model, None if strike is None else number("strike", strike), number("maturity", maturity)
-
-
-def _is_number(value) -> bool:
-    """The one number rule of an entry: a real number, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def number(key: str, value) -> float:
-    """``value`` as a float; a ValueError naming ``key`` unless it is a YAML number."""
-    if not _is_number(value):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def number_list(key: str, value) -> tuple:
-    """``value`` as a tuple; a ValueError naming ``key`` unless it is a YAML list of numbers."""
-    if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
-        raise ValueError(f"{key!r} must be a list of numbers, got {value!r}")
-    return tuple(value)
-
-
-def integer(key: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``key`` unless it is a YAML integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
+    return model, strike, maturity
 
 
 def experiment_from_entry(entry: dict) -> ExperimentSpec:
@@ -154,20 +128,19 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
     reference = entry.get("reference") or {}
     if not isinstance(reference, dict):
         raise ValueError(f"'reference' must be a mapping, got {reference!r}")
-    prices = reference.get("prices")
     return ExperimentSpec(
         name=entry["name"],
         model=model,
         scheme=entry["scheme"],
-        n_paths=integer("n_paths", entry["n_paths"]),
-        n_steps=integer("n_steps", entry["n_steps"]),
+        n_paths=entry["n_paths"],
+        n_steps=entry["n_steps"],
         schedule=entry["schedule"],
         vary=entry["vary"],
-        values=number_list("values", entry["values"]),
+        values=entry["values"],
         strike=strike,
         maturity=maturity,
-        **{key: integer(key, entry[key]) for key in ("runs", "base_seed") if key in entry},
-        reference_prices=number_list("reference.prices", prices) if prices else None,
+        **{key: entry[key] for key in ("runs", "base_seed") if key in entry},
+        reference_prices=reference.get("prices") or None,
         reference_source=reference.get("source", ""),
     )
 

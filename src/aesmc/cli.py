@@ -44,14 +44,15 @@ def _entry(args) -> dict:
         entry.update(catalog.table_entries(args.config)[0])
         entry.pop("reference", None)
     given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
-    if "s0" in given:
+    if "s0" in given and isinstance(entry.get("model", {}), dict):  # catalog refuses any other model
         given["model"] = {**entry.get("model", {}), "s0": given.pop("s0")}
     entry.update(given)
     spot = entry["vary"] == "spot"
     if getattr(args, "s0" if spot else "strike") is not None or "values" not in entry:
         model, strike, _ = catalog._model_from_entry(entry)
         entry["values"] = [model.s0 if spot else strike]
-    entry["values"] = list(catalog.number_list("values", entry["values"])[:1])
+    if isinstance(entry["values"], list):
+        entry["values"] = entry["values"][:1]
     return entry
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .lsm import ExerciseSchedule, lsm_price
 from .models import DoubleHestonParams, HestonParams, PutPayoff
-from .sampling import UINT64_LIMIT, _integral
+from .sampling import UINT64_LIMIT, _integral, _is_number
 from .simulation import SCHEMES, TimeGrid, _count, simulate
 
 CSV_COLUMNS = [
@@ -32,6 +32,11 @@ CSV_COLUMNS = [
 
 # Desk scale caps the run count at 10.
 DESK_RUNS = 10
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a list or tuple of numbers (``sampling._is_number``)."""
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,22 @@ class ExperimentSpec:
                 errors.append("schedule date count must be >= 1")
             elif "schedule" in counts and self.schedule > self.n_steps:
                 errors.append(f"schedule date count {self.schedule} exceeds n_steps {self.n_steps}")
-        if not self.values:
+        if not _numbers(self.values):
+            errors.append(f"'values' must be a list of numbers, got {self.values!r}")
+        elif not self.values:
             errors.append("values must be nonempty")
         elif not all(np.isfinite(v) and v > 0.0 for v in map(float, self.values)):
             errors.append("values must be positive")
-        if self.vary == "spot" and not (np.isfinite(float(self.strike)) and self.strike > 0.0):
-            errors.append(f"strike must be finite and > 0, got {self.strike!r}")
-        if not (np.isfinite(float(self.maturity)) and self.maturity > 0.0):
-            errors.append(f"maturity must be finite and > 0, got {self.maturity!r}")
-        if self.reference_prices is not None and len(self.reference_prices) != len(self.values):
+        elif _numbers(self.reference_prices) and len(self.reference_prices) != len(self.values):
             errors.append("reference_prices length must match values")
+        for key, value in (("strike", self.strike), ("maturity", self.maturity)):
+            if not _is_number(value):
+                errors.append(f"{key!r} must be a number, got {value!r}")
+            elif (key == "maturity" or self.vary == "spot") and not (np.isfinite(float(value)) and value > 0.0):
+                errors.append(f"{key} must be finite and > 0, got {value!r}")
+        # named by its config key, as a config entry gives it
+        if self.reference_prices is not None and not _numbers(self.reference_prices):
+            errors.append(f"'reference.prices' must be a list of numbers, got {self.reference_prices!r}")
         if errors:
             raise ValueError(f"invalid experiment {self.name!r}: " + "; ".join(errors))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .sampling import _is_number
+
 
 class ParameterError(ValueError):
     """Raised by ``check_values`` with the complete list of violations."""
@@ -111,13 +113,17 @@ def check_values(params):
     """Return ``params`` unchanged if all invariants hold, else raise.
 
     Raises ``ParameterError`` carrying one message per violated invariant,
-    naming the offending field, in field order with ``r`` last. The Feller
-    condition is not checked.
+    naming the offending field, in field order with ``r`` last; a bool or
+    non-number field is refused first (``sampling._is_number``). No Feller check.
     """
     if not isinstance(params, (HestonParams, DoubleHestonParams)):
         raise TypeError(f"cannot validate {type(params).__name__}")
+    names = sorted((f.name for f in fields(params)), key=lambda name: name == "r")
+    non_numeric = [name for name in names if not _is_number(getattr(params, name))]
+    if non_numeric:
+        raise ParameterError([f"{type(params).__name__} field(s) must be numbers: {', '.join(non_numeric)}"])
     errors = []
-    for name in sorted((f.name for f in fields(params)), key=lambda name: name == "r"):
+    for name in names:
         holds, message = _rule(name)
         if not holds(getattr(params, name)):
             errors.append(f"{name} {message}")

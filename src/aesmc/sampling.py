@@ -30,11 +30,15 @@ MAX_POISSON_RATE = 1.0e9
 UINT64_LIMIT = 2**64
 
 
+def _is_number(value) -> bool:
+    """The one number rule: a real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integral(value) -> bool:
     """Whether ``value`` is an integer or a finite number equal to its int, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or (math.isfinite(value) and int(value) == value)
+    return _is_number(value) and (isinstance(value, numbers.Integral)
+                                  or (math.isfinite(value) and int(value) == value))
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:

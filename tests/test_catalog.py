@@ -97,6 +97,16 @@ def test_inline_fields_fill_from_preset():
         experiment_from_entry({**entry, "model": {"gamma_1": 0.5}})
 
 
+def test_entry_integral_float_count_prices_as_its_int():
+    # YAML reads 12.0 as a float; every count takes it as 12, as ExperimentSpec does
+    text = ("name: steps\npreset: feller-violating\nscheme: aes\nn_paths: 500\nn_steps: {}\n"
+            "schedule: 6\nvary: spot\nvalues: [95.0, 105.0]\nruns: 2\nbase_seed: 3\n")
+    as_float, as_int = (experiment_from_entry(yaml.load(text.format(steps), Loader=YAML_LOADER))
+                        for steps in ("12.0", "12"))
+    assert as_float.n_steps == 12 and type(as_float.n_steps) is int
+    assert ([c.mean_price for c in experiments.run_experiment(as_float).cases]
+            == [c.mean_price for c in experiments.run_experiment(as_int).cases])
+
 def test_run_table_writes_csv_and_json(tmp_path):
     files = run_table("3", scale=1000, runs=1, out_dir=tmp_path)
     names = sorted(p.name for p in files)

@@ -281,6 +281,10 @@ PRICES_ITEM_A_LIST = ENTRY + "    preset: feller-holding\n    reference: {prices
 NAME_AN_INTEGER = ENTRY.replace("name: bad", "name: 5") + "    preset: feller-holding\n"
 NAME_A_PATH = ENTRY.replace("name: bad", "name: a/b") + "    preset: feller-holding\n"
 NAME_DOTDOT = ENTRY.replace("name: bad", "name: '..'") + "    preset: feller-holding\n"
+# a model that is not a mapping, and a preset that is not a name
+MODEL_AN_INTEGER = ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: 5\n"
+MODEL_NULL = ENTRY + "    preset: feller-holding\n    model: null\n"
+PRESET_A_LIST = ENTRY + "    preset: [1]\n"
 # files that are not a table config: each is refused by the file's name
 BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
               "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
@@ -307,10 +311,10 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (VALUES_NOT_A_LIST, "'values' must be a list of numbers"),
     (PRICES_NOT_A_LIST, "'reference.prices' must be a list of numbers"),
     (REFERENCE_NOT_A_MAPPING, "'reference' must be a mapping"),
-    (RUNS_NOT_AN_INTEGER, "'runs' must be an integer"),
-    (PATHS_NOT_AN_INTEGER, "'n_paths' must be an integer"),
-    (STEPS_NOT_AN_INTEGER, "'n_steps' must be an integer"),
-    (SEED_NOT_AN_INTEGER, "'base_seed' must be an integer"),
+    (RUNS_NOT_AN_INTEGER, "runs must be an integer"),
+    (PATHS_NOT_AN_INTEGER, "n_paths must be an integer"),
+    (STEPS_NOT_AN_INTEGER, "n_steps must be an integer"),
+    (SEED_NOT_AN_INTEGER, "base_seed must be an integer"),
     (SCHEDULE_NOT_AN_INTEGER, "schedule must be a date count or 'american', got 1.5"),
     (SCHEDULE_BOOL, "schedule must be a date count or 'american', got True"),
     (GAMMA_NEGATIVE, "gamma must be positive"),
@@ -325,6 +329,9 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (NAME_AN_INTEGER, "name must be a nonempty file name with no '/', got 5"),
     (NAME_A_PATH, "name must be a nonempty file name with no '/', got 'a/b'"),
     (NAME_DOTDOT, "name must be a nonempty file name with no '/', got '..'"),
+    (MODEL_AN_INTEGER, "'model' must be a mapping, got 5"),
+    (MODEL_NULL, "'model' must be a mapping, got None"),
+    (PRESET_A_LIST, "'preset' must be a preset name, got [1]"),
     *NOT_A_TABLE,
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
@@ -333,7 +340,8 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
         "schedule-bool", "gamma-negative",
         "double-heston-underscore-kind", "values-item-a-list", "values-item-a-bool",
         "strike-a-list", "strike-a-string", "maturity-a-string", "reference-prices-item-a-list",
-        "name-an-integer", "name-a-path", "name-dotdot", *NOT_A_TABLE_IDS])
+        "name-an-integer", "name-a-path", "name-dotdot", "model-an-integer", "model-null",
+        "preset-a-list", *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -354,9 +362,11 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
     # an inline model with no s0 and no preset to give one
     (["--config", "{config}"], INLINE_HESTON.replace(" s0: 100.0,", ""),
      "inline model is missing HestonParams field(s): s0"),
+    # --spot writes into the entry's model, which must be a mapping
+    (["--config", "{config}", "--spot", "95"], MODEL_AN_INTEGER, "'model' must be a mapping, got 5"),
     *((["--config", "{config}"], config, named) for config, named in NOT_A_TABLE),
 ], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative",
-        "inline-model-without-s0", *NOT_A_TABLE_IDS])
+        "inline-model-without-s0", "model-an-integer-with-spot", *NOT_A_TABLE_IDS])
 def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(config)
@@ -507,6 +517,16 @@ def test_readme_commands_parse():
     for argv in commands:
         build_parser().parse_args(argv[1:])
 
+
+
+def test_readme_config_example_prices(tmp_path, capsys):
+    # README's model.yaml, run as README runs it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = re.findall(r"this `model.yaml`.*?```yaml\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "model.yaml"
+    cfg.write_text(example)
+    payload = _price_json(["--config", str(cfg), "--spot", "95", "--paths", "200"], capsys)
+    assert [case["case"] for case in payload["cases"]] == ["S0=95"]
 
 # Golden CLI outputs at pinned seeds. A refactor of how flags become a
 # priced case must reproduce them exactly; timing fields are left out.

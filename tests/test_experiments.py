@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -94,11 +95,20 @@ def test_spec_validation_collects_errors():
     (dict(name="a/b"), "name must be a nonempty file name with no '/', got 'a/b'"),
     (dict(name="."), "name must be a nonempty file name with no '/', got '.'"),
     (dict(name=".."), "name must be a nonempty file name with no '/', got '..'"),
+    # a number is a real number and not a bool, never a string read as one
+    (dict(strike="10"), "'strike' must be a number, got '10'"),
+    (dict(maturity="0.25"), "'maturity' must be a number, got '0.25'"),
+    (dict(values=(True,)), re.escape("'values' must be a list of numbers, got (True,)")),
+    (dict(values=("8",)), re.escape("'values' must be a list of numbers, got ('8',)")),
+    (dict(reference_prices=(1.0, "2.0", 3.0)),
+     re.escape("'reference.prices' must be a list of numbers, got (1.0, '2.0', 3.0)")),
 ], ids=["strike-negative", "strike-zero", "strike-inf", "strike-nan", "maturity-zero",
         "maturity-negative", "maturity-nan", "seed-negative", "last-run-seed-past-2**64",
         "seed-2**64", "runs-fraction", "runs-bool", "n-paths-fraction", "n-steps-fraction",
         "seed-fraction", "seed-nan", "schedule-fraction", "schedule-bool", "name-an-integer",
-        "name-empty", "name-a-path", "name-dot", "name-dotdot"])
+        "name-empty", "name-a-path", "name-dot", "name-dotdot", "strike-a-string",
+        "maturity-a-string", "values-item-a-bool", "values-item-a-string",
+        "reference-prices-item-a-string"])
 def test_spec_refuses_bad_strike_maturity_and_seed(overrides, named):
     with pytest.raises(ValueError, match=named):
         smoke_spec(**overrides)

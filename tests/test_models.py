@@ -123,15 +123,23 @@ def _bad_value(name):
     return 1.5 if name.startswith("rho") else -1.0
 
 
-@pytest.mark.parametrize("params, name", [
-    pytest.param(params, f.name, id=f"{type(params).__name__}-{f.name}")
-    for params in (EQ4, ZHANG) for f in dataclasses.fields(params)
+@pytest.mark.parametrize("params, name, value", [
+    *(pytest.param(params, f.name, _bad_value(f.name), id=f"{type(params).__name__}-{f.name}")
+      for params in (EQ4, ZHANG) for f in dataclasses.fields(params)),
+    # a bool or a non-number is refused by the number rule, before any range check
+    pytest.param(EQ4, "kappa", "5", id="HestonParams-kappa-a-string"),
+    pytest.param(EQ4, "kappa", True, id="HestonParams-kappa-a-bool"),
+    pytest.param(EQ4, "rho", None, id="HestonParams-rho-none"),
+    pytest.param(ZHANG, "gamma_2", True, id="DoubleHestonParams-gamma_2-a-bool"),
 ])
-def test_check_values_names_each_bad_field(params, name):
-    bad = dataclasses.replace(params, **{name: _bad_value(name)})
+def test_check_values_names_each_bad_field(params, name, value):
+    bad = dataclasses.replace(params, **{name: value})
     with pytest.raises(ParameterError) as exc:
         check_values(bad)
-    assert len(exc.value.errors) == 1 and exc.value.errors[0].split()[0] == name
+    if isinstance(value, float):
+        assert len(exc.value.errors) == 1 and exc.value.errors[0].split()[0] == name
+    else:
+        assert exc.value.errors == [f"{type(params).__name__} field(s) must be numbers: {name}"]
 
 
 def test_validate_double_heston_fields():
