@@ -125,9 +125,11 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
     model, strike, maturity = _model_from_entry(entry)
     if strike is None:
         raise ValueError("missing 'strike': give it in the entry or through a preset")
-    reference = entry.get("reference") or {}
+    reference = entry.get("reference", {})
     if not isinstance(reference, dict):
         raise ValueError(f"'reference' must be a mapping, got {reference!r}")
+    if "prices" in reference and reference["prices"] is None:  # the spec reads None as no reference
+        raise ValueError("'reference.prices' must be a list of numbers, got None")
     return ExperimentSpec(
         name=entry["name"],
         model=model,
@@ -140,7 +142,7 @@ def experiment_from_entry(entry: dict) -> ExperimentSpec:
         strike=strike,
         maturity=maturity,
         **{key: entry[key] for key in ("runs", "base_seed") if key in entry},
-        reference_prices=reference.get("prices") or None,
+        reference_prices=reference.get("prices"),
         reference_source=reference.get("source", ""),
     )
 

@@ -100,9 +100,11 @@ class ExperimentSpec:
                 errors.append(f"{key!r} must be a number, got {value!r}")
             elif (key == "maturity" or self.vary == "spot") and not (np.isfinite(float(value)) and value > 0.0):
                 errors.append(f"{key} must be finite and > 0, got {value!r}")
-        # named by its config key, as a config entry gives it
+        # named by their config keys, as a config entry gives them
         if self.reference_prices is not None and not _numbers(self.reference_prices):
             errors.append(f"'reference.prices' must be a list of numbers, got {self.reference_prices!r}")
+        if not isinstance(self.reference_source, str):
+            errors.append(f"'reference.source' must be a string, got {self.reference_source!r}")
         if errors:
             raise ValueError(f"invalid experiment {self.name!r}: " + "; ".join(errors))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))

@@ -142,32 +142,25 @@ class PathSet:
         return 8 * self.n_paths * (self.grid.steps + 1) * (1 + len(self.variances))
 
 
-@dataclass(frozen=True)
-class CirTransition:
-    """Constants of the exact CIR transition over one step.
+def cir_transition_params(factor, dt, v_current):
+    """Exact CIR transition constants ``(c_bar, kappa_bar, dof)`` of ``factor`` over a step of ``dt``.
 
-    ``kappa_bar`` is per-path when built from an array of current variances.
+    ``kappa_bar`` is per-path when ``v_current`` is an array of current variances.
     """
-
-    c_bar: float
-    kappa_bar: float | np.ndarray
-    dof: float
-
-
-def cir_transition_params(kappa, gamma, nu_bar, dt, v_current) -> CirTransition:
-    """Exact CIR transition constants for a step of length ``dt``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    kappa, gamma = factor.kappa, factor.gamma
     decay = math.exp(-kappa * dt)
     c_bar = gamma**2 / (4.0 * kappa) * (1.0 - decay)
     kappa_bar = 4.0 * kappa * decay * v_current / (gamma**2 * (1.0 - decay))
-    dof = 4.0 * kappa * nu_bar / gamma**2
-    return CirTransition(c_bar=c_bar, kappa_bar=kappa_bar, dof=dof)
+    dof = 4.0 * kappa * factor.nu_bar / gamma**2
+    return c_bar, kappa_bar, dof
 
 
-def cir_exact_step(stream: np.random.Generator, transition: CirTransition):
-    """One exact CIR step: scaled noncentral chi-squared draw(s), always >= 0."""
-    return transition.c_bar * sample_noncentral_chisq(stream, transition.dof, transition.kappa_bar)
+def cir_exact_step(stream: np.random.Generator, factor, dt, v_current):
+    """One exact CIR step of ``factor``: scaled noncentral chi-squared draw(s), always >= 0."""
+    c_bar, kappa_bar, dof = cir_transition_params(factor, dt, v_current)
+    return c_bar * sample_noncentral_chisq(stream, dof, kappa_bar)
 
 
 def log_price_constants(r: float, factors, dt: float):
@@ -189,9 +182,9 @@ def log_price_constants(r: float, factors, dt: float):
     return c0 * dt, tuple(c1), tuple(c2), tuple(c3)
 
 
-def truncated_euler_variance_step(v, kappa, nu_bar, gamma, dt, z, root):
-    """Truncated Euler update: positive part of the full variance step; ``root`` is sqrt(v dt)."""
-    return np.maximum(v + kappa * (nu_bar - v) * dt + gamma * root * z, 0.0)
+def truncated_euler_variance_step(v, factor, dt, z, root):
+    """Truncated Euler update of ``factor``: the positive part of the full step; ``root`` is sqrt(v dt)."""
+    return np.maximum(v + factor.kappa * (factor.nu_bar - v) * dt + factor.gamma * root * z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +219,7 @@ def _aes_block(params, grid, stream, growth, variances, positions):
     x, v = _start_block(factors, growth, variances, positions)
     term = np.empty(count)
     for i in range(grid.steps):
-        v_next = [
-            cir_exact_step(stream, cir_transition_params(f.kappa, f.gamma, f.nu_bar, dt, vj))
-            for f, vj in zip(factors, v)
-        ]
+        v_next = [cir_exact_step(stream, f, dt, vj) for f, vj in zip(factors, v)]
         z = [sample_standard_normal(stream, size=count) for _ in factors]
         # Drift terms, then the v_next terms, then the diffusion terms: any
         # other summation order changes the last bits of every path.
@@ -260,7 +250,7 @@ def _euler_block(params, grid, stream, growth, variances, positions):
         for vj, root in zip(v, roots):  # shared by the variance and log-price updates
             np.sqrt(np.multiply(vj, dt, out=root), out=root)
         v_next = [
-            truncated_euler_variance_step(vj, f.kappa, f.nu_bar, f.gamma, dt, zj, root)
+            truncated_euler_variance_step(vj, f, dt, zj, root)
             for f, vj, zj, root in zip(factors, v, z_v, roots)
         ]
         x += (params.r - 0.5 * sum(v)) * dt

@@ -244,14 +244,15 @@ def test_criterion_7_cir_exactness(acceptance):
     ok = True
     details = []
     for label, params, seed in (("eq-feller", EQ4, 9301), ("eq-nonfeller", EQ5, 9302)):
-        t = cir_transition_params(params.kappa, params.gamma, params.nu_bar, 0.25,
-                                  np.full(n, params.v0))
-        draws = cir_exact_step(rng_stream(seed, 0), t)
+        (factor,) = params.factors()
+        v0 = np.full(n, params.v0)
+        c_bar, kappa_bar, dof = cir_transition_params(factor, 0.25, v0)
+        draws = cir_exact_step(rng_stream(seed, 0), factor, 0.25, v0)
         mean, var = cir_conditional_moments(params.kappa, params.gamma, params.nu_bar, 0.25, params.v0)
-        kbar = float(np.asarray(t.kappa_bar)[0])
-        se_mean, se_var = ncx2_moment_se(t.dof, kbar, n)
-        mean_ok = abs(draws.mean() - mean) <= 3 * t.c_bar * se_mean
-        var_ok = abs(draws.var(ddof=1) - var) <= 3 * t.c_bar**2 * se_var
+        kbar = float(np.asarray(kappa_bar)[0])
+        se_mean, se_var = ncx2_moment_se(dof, kbar, n)
+        mean_ok = abs(draws.mean() - mean) <= 3 * c_bar * se_mean
+        var_ok = abs(draws.var(ddof=1) - var) <= 3 * c_bar**2 * se_var
         ok &= mean_ok and var_ok
         details.append(f"{label}: mean {draws.mean():.6f} vs {mean:.6f}, var {draws.var(ddof=1):.6f} vs {var:.6f}")
     acceptance("criterion 7: single-giant-step CIR moments match closed form", ok, "; ".join(details))

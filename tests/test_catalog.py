@@ -97,6 +97,13 @@ def test_inline_fields_fill_from_preset():
         experiment_from_entry({**entry, "model": {"gamma_1": 0.5}})
 
 
+def test_reference_with_a_source_and_no_prices_is_accepted():
+    entry = {"name": "x", "scheme": "aes", "n_paths": 10, "n_steps": 2, "schedule": "american",
+             "vary": "spot", "values": [1.0], "preset": "feller-violating", "reference": {"source": "paper"}}
+    spec = experiment_from_entry(entry)
+    assert spec.reference_prices is None and spec.reference_source == "paper"
+
+
 def test_entry_integral_float_count_prices_as_its_int():
     # YAML reads 12.0 as a float; every count takes it as 12, as ExperimentSpec does
     text = ("name: steps\npreset: feller-violating\nscheme: aes\nn_paths: 500\nn_steps: {}\n"

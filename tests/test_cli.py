@@ -285,6 +285,26 @@ NAME_DOTDOT = ENTRY.replace("name: bad", "name: '..'") + "    preset: feller-hol
 MODEL_AN_INTEGER = ENTRY + "    strike: 10.0\n    maturity: 0.25\n    model: 5\n"
 MODEL_NULL = ENTRY + "    preset: feller-holding\n    model: null\n"
 PRESET_A_LIST = ENTRY + "    preset: [1]\n"
+# a falsy reference or reference.prices, never read as "no reference", and a source that is no string
+BAD_REFERENCES = [
+    ("reference-false", "reference: false", "'reference' must be a mapping, got False"),
+    ("reference-zero", "reference: 0", "'reference' must be a mapping, got 0"),
+    ("reference-empty-list", "reference: []", "'reference' must be a mapping, got []"),
+    ("reference-empty-string", "reference: ''", "'reference' must be a mapping, got ''"),
+    ("reference-null", "reference: null", "'reference' must be a mapping, got None"),
+    ("reference-prices-false", "reference: {prices: false}",
+     "'reference.prices' must be a list of numbers, got False"),
+    ("reference-prices-zero", "reference: {prices: 0}",
+     "'reference.prices' must be a list of numbers, got 0"),
+    ("reference-prices-empty-string", "reference: {prices: ''}",
+     "'reference.prices' must be a list of numbers, got ''"),
+    ("reference-prices-null", "reference: {prices: null}",
+     "'reference.prices' must be a list of numbers, got None"),
+    ("reference-prices-empty-list", "reference: {prices: []}",
+     "reference_prices length must match values"),
+    ("reference-source-an-integer", "reference: {source: 5, prices: [1.0]}",
+     "'reference.source' must be a string, got 5"),
+]
 # files that are not a table config: each is refused by the file's name
 BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
               "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
@@ -332,6 +352,7 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (MODEL_AN_INTEGER, "'model' must be a mapping, got 5"),
     (MODEL_NULL, "'model' must be a mapping, got None"),
     (PRESET_A_LIST, "'preset' must be a preset name, got [1]"),
+    *((ENTRY + f"    preset: feller-holding\n    {reference}\n", named) for _, reference, named in BAD_REFERENCES),
     *NOT_A_TABLE,
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
@@ -341,7 +362,7 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
         "double-heston-underscore-kind", "values-item-a-list", "values-item-a-bool",
         "strike-a-list", "strike-a-string", "maturity-a-string", "reference-prices-item-a-list",
         "name-an-integer", "name-a-path", "name-dotdot", "model-an-integer", "model-null",
-        "preset-a-list", *NOT_A_TABLE_IDS])
+        "preset-a-list", *(case_id for case_id, _, _ in BAD_REFERENCES), *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)

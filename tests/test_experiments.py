@@ -102,13 +102,14 @@ def test_spec_validation_collects_errors():
     (dict(values=("8",)), re.escape("'values' must be a list of numbers, got ('8',)")),
     (dict(reference_prices=(1.0, "2.0", 3.0)),
      re.escape("'reference.prices' must be a list of numbers, got (1.0, '2.0', 3.0)")),
+    (dict(reference_source=5), "'reference.source' must be a string, got 5"),
 ], ids=["strike-negative", "strike-zero", "strike-inf", "strike-nan", "maturity-zero",
         "maturity-negative", "maturity-nan", "seed-negative", "last-run-seed-past-2**64",
         "seed-2**64", "runs-fraction", "runs-bool", "n-paths-fraction", "n-steps-fraction",
         "seed-fraction", "seed-nan", "schedule-fraction", "schedule-bool", "name-an-integer",
         "name-empty", "name-a-path", "name-dot", "name-dotdot", "strike-a-string",
         "maturity-a-string", "values-item-a-bool", "values-item-a-string",
-        "reference-prices-item-a-string"])
+        "reference-prices-item-a-string", "reference-source-an-integer"])
 def test_spec_refuses_bad_strike_maturity_and_seed(overrides, named):
     with pytest.raises(ValueError, match=named):
         smoke_spec(**overrides)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aesmc import simulation
-from aesmc.models import ParameterError, preset
+from aesmc.models import ParameterError, preset, VarianceFactor
 from aesmc.sampling import rng_stream, sample_standard_normal
 from aesmc.simulation import (
     _BLOCK_KERNELS,
@@ -62,48 +62,51 @@ def test_time_grid_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_cir_transition_eq5_frozen_values():
-    t = cir_transition_params(kappa=1.15, gamma=0.39, nu_bar=0.0348, dt=0.0125, v_current=0.0348)
-    assert t.dof == pytest.approx(2668 / 2535, rel=1e-15)          # 1.052465483234714
-    assert t.c_bar == pytest.approx(4.7191250255797883e-04, rel=1e-13)
-    assert t.kappa_bar == pytest.approx(72.690018158051093, rel=1e-12)
+    c_bar, kappa_bar, dof = cir_transition_params(EQ5.factors()[0], dt=0.0125, v_current=0.0348)
+    assert dof == pytest.approx(2668 / 2535, rel=1e-15)            # 1.052465483234714
+    assert c_bar == pytest.approx(4.7191250255797883e-04, rel=1e-13)
+    assert kappa_bar == pytest.approx(72.690018158051093, rel=1e-12)
 
 
 def test_cir_transition_eq4_dof_exact_rational():
-    t = cir_transition_params(kappa=5.0, gamma=0.9, nu_bar=0.16, dt=0.25 / 12, v_current=0.0625)
-    assert t.dof == pytest.approx(320 / 81, rel=1e-15)             # 3.9506172839506173
+    _, _, dof = cir_transition_params(EQ4.factors()[0], dt=0.25 / 12, v_current=0.0625)
+    assert dof == pytest.approx(320 / 81, rel=1e-15)               # 3.9506172839506173
 
 
 def test_cir_transition_zero_variance_gives_central():
-    t = cir_transition_params(kappa=1.15, gamma=0.39, nu_bar=0.0348, dt=0.0125, v_current=0.0)
-    assert t.kappa_bar == 0.0
+    _, kappa_bar, _ = cir_transition_params(EQ5.factors()[0], dt=0.0125, v_current=0.0)
+    assert kappa_bar == 0.0
 
 
 def test_cir_transition_rejects_bad_dt():
+    factor = VarianceFactor(kappa=1.0, nu_bar=0.1, gamma=0.5, v0=0.05, rho=0.0)  # v0 and rho unused
     with pytest.raises(ValueError):
-        cir_transition_params(1.0, 0.5, 0.1, 0.0, 0.05)
+        cir_transition_params(factor, 0.0, 0.05)
     with pytest.raises(ValueError):
-        cir_transition_params(1.0, 0.5, 0.1, -0.1, 0.05)
+        cir_transition_params(factor, -0.1, 0.05)
 
 
 def test_cir_exact_step_nonnegative_and_mean():
     n = 200_000
-    t = cir_transition_params(1.15, 0.39, 0.0348, 0.0125, np.full(n, 0.0348))
-    draws = cir_exact_step(rng_stream(101, 0), t)
+    v = np.full(n, 0.0348)
+    c_bar, _, dof = cir_transition_params(EQ5.factors()[0], 0.0125, v)
+    draws = cir_exact_step(rng_stream(101, 0), EQ5.factors()[0], 0.0125, v)
     assert draws.min() >= 0.0
-    expected = t.c_bar * (t.dof + 72.690018158051093)
-    se_mean, _ = ncx2_moment_se(t.dof, 72.690018158051093, n)
-    assert abs(draws.mean() - expected) < 3 * t.c_bar * se_mean
+    expected = c_bar * (dof + 72.690018158051093)
+    se_mean, _ = ncx2_moment_se(dof, 72.690018158051093, n)
+    assert abs(draws.mean() - expected) < 3 * c_bar * se_mean
 
 
 def test_cir_giant_step_matches_closed_form_moments():
     n = 200_000
-    t = cir_transition_params(1.15, 0.39, 0.0348, 0.25, np.full(n, 0.0348))
-    draws = cir_exact_step(rng_stream(102, 0), t)
+    v = np.full(n, 0.0348)
+    c_bar, kappa_bar, dof = cir_transition_params(EQ5.factors()[0], 0.25, v)
+    draws = cir_exact_step(rng_stream(102, 0), EQ5.factors()[0], 0.25, v)
     mean, var = cir_conditional_moments(1.15, 0.39, 0.0348, 0.25, 0.0348)
-    kbar = float(np.asarray(t.kappa_bar)[0])
-    se_mean, se_var = ncx2_moment_se(t.dof, kbar, n)
-    assert abs(draws.mean() - mean) < 3 * t.c_bar * se_mean
-    assert abs(draws.var(ddof=1) - var) < 3 * t.c_bar**2 * se_var
+    kbar = float(np.asarray(kappa_bar)[0])
+    se_mean, se_var = ncx2_moment_se(dof, kbar, n)
+    assert abs(draws.mean() - mean) < 3 * c_bar * se_mean
+    assert abs(draws.var(ddof=1) - var) < 3 * c_bar**2 * se_var
 
 
 def test_cir_marginal_independent_of_step_count():
@@ -112,12 +115,12 @@ def test_cir_marginal_independent_of_step_count():
     one = simulate("aes", EQ5, TimeGrid(0.25, 1), n, seed=103)
     many = simulate("aes", EQ5, TimeGrid(0.25, 100), n, seed=104)
     mean, var = cir_conditional_moments(1.15, 0.39, 0.0348, 0.25, 0.0348)
-    t = cir_transition_params(1.15, 0.39, 0.0348, 0.25, 0.0348)
-    se_mean, se_var = ncx2_moment_se(t.dof, t.kappa_bar, n)
+    c_bar, kappa_bar, dof = cir_transition_params(EQ5.factors()[0], 0.25, 0.0348)
+    se_mean, se_var = ncx2_moment_se(dof, kappa_bar, n)
     for paths in (one, many):
         v_T = paths.variances[0, :, -1]
-        assert abs(v_T.mean() - mean) < 3 * t.c_bar * se_mean
-        assert abs(v_T.var(ddof=1) - var) < 3 * t.c_bar**2 * se_var
+        assert abs(v_T.mean() - mean) < 3 * c_bar * se_mean
+        assert abs(v_T.var(ddof=1) - var) < 3 * c_bar**2 * se_var
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +183,13 @@ def test_aes_paths_nonnegative_variance_positive_asset():
 
 def test_truncated_euler_zero_variance_boundary():
     dt = 0.02
-    out = truncated_euler_variance_step(0.0, 5.0, 0.16, 0.9, dt, z=1.7, root=0.0)
+    out = truncated_euler_variance_step(0.0, EQ4.factors()[0], dt, z=1.7, root=0.0)
     assert out == 5.0 * 0.16 * dt                   # diffusion term vanishes at v=0
 
 
 def test_truncated_euler_clips_negative_update():
-    out = truncated_euler_variance_step(0.01, 1.0, 0.02, 0.9, 0.05, z=-5.0, root=math.sqrt(0.01 * 0.05))
+    factor = VarianceFactor(kappa=1.0, nu_bar=0.02, gamma=0.9, v0=0.01, rho=0.0)  # v0 and rho unused
+    out = truncated_euler_variance_step(0.01, factor, 0.05, z=-5.0, root=math.sqrt(0.01 * 0.05))
     assert out == 0.0
 
 
@@ -199,9 +203,8 @@ def test_truncated_euler_with_shared_root_is_the_one_line_update():
     v[::7] = 0.0
     z = sample_standard_normal(stream, size=1000)
     z[::5] = -8.0                                   # updates the positive part clips to 0
-    args = (v, 1.15, 0.0348, 0.39, 0.0125, z)
-    got = truncated_euler_variance_step(*args, root=np.sqrt(v * 0.0125))
-    want = reference(*args)
+    got = truncated_euler_variance_step(v, EQ5.factors()[0], 0.0125, z, root=np.sqrt(v * 0.0125))
+    want = reference(v, 1.15, 0.0348, 0.39, 0.0125, z)
     assert (v == 0.0).any() and (want == 0.0).any()
     assert np.array_equal(got, want)
 
