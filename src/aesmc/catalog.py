@@ -64,8 +64,12 @@ def load_config(source) -> dict:
 
 # Inline model kinds of a config entry.
 MODEL_KINDS = {"heston": HestonParams, "double-heston": DoubleHestonParams}
-# Keys every experiment entry must give.
+# Keys every experiment entry must give, the keys it may give, and the keys of its reference.
 REQUIRED_KEYS = ("name", "scheme", "n_paths", "n_steps", "schedule", "vary", "values")
+OPTIONAL_KEYS = ("preset", "model", "strike", "maturity", "runs", "base_seed", "reference")
+REFERENCE_KEYS = ("source", "prices")
+# Keys of a figure config that only ``run_figure`` reads; its reference's ``n_steps`` is one too.
+FIGURE_KEYS = ("kind", "title", "date_counts", "schemes", "period_weeks", "weeks_per_year")
 
 
 def _model_from_entry(entry: dict):
@@ -116,18 +120,27 @@ def _model_from_entry(entry: dict):
     return model, strike, maturity
 
 
+def _refuse_unknown(keys, known, where: str):
+    """A ValueError naming every key of ``keys`` that is not in ``known``."""
+    unknown = [str(key) for key in keys if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def experiment_from_entry(entry: dict) -> ExperimentSpec:
-    """The spec of one config entry; a missing or mistyped key is a ValueError naming it."""
+    """The spec of one config entry; a missing, unknown or mistyped key is a ValueError naming it."""
     missing = [key for key in REQUIRED_KEYS if key not in entry]
     if missing:
         raise ValueError(f"experiment entry {entry.get('name', '')!r} is missing "
                          f"key(s): {', '.join(missing)}")
     model, strike, maturity = _model_from_entry(entry)
+    _refuse_unknown(entry, REQUIRED_KEYS + OPTIONAL_KEYS, f"experiment entry {entry['name']!r}")
     if strike is None:
         raise ValueError("missing 'strike': give it in the entry or through a preset")
     reference = entry.get("reference", {})
     if not isinstance(reference, dict):
         raise ValueError(f"'reference' must be a mapping, got {reference!r}")
+    _refuse_unknown(reference, REFERENCE_KEYS, "'reference'")
     if "prices" in reference and reference["prices"] is None:  # the spec reads None as no reference
         raise ValueError("'reference.prices' must be a list of numbers, got None")
     return ExperimentSpec(
@@ -203,10 +216,12 @@ def run_figure(fig_id, *, scale, runs, seed=None, out_dir) -> list[Path]:
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {str(fig_id)!r}; figure ids: {', '.join(FIGURE_IDS)}")
     payload = load_config(fig_id)
-    ref_steps = payload["reference"]["n_steps"]
+    reference = dict(payload["reference"])
+    ref_steps = reference.pop("n_steps")
     # the reference experiment; each figure experiment differs from it only
     # in name, scheme, steps, schedule, maturity and reference prices
-    entry = {**payload, "scheme": "euler", "n_steps": ref_steps, "schedule": "american"}
+    entry = {key: value for key, value in payload.items() if key not in FIGURE_KEYS}
+    entry.update(scheme="euler", n_steps=ref_steps, schedule="american", reference=reference)
     ref_spec = _at_scale(experiment_from_entry(entry), scale, runs, seed)
     period_years = None
     if "period_weeks" in payload:

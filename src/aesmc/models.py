@@ -84,6 +84,8 @@ class PutPayoff:
     strike: float
 
     def __post_init__(self):
+        if not _is_number(self.strike):
+            raise ParameterError([f"strike must be a number, got {self.strike!r}"])
         if not (np.isfinite(self.strike) and self.strike > 0.0):
             raise ParameterError(["strike must be positive"])
 

@@ -22,8 +22,11 @@ its exact transition, a scaled noncentral chi-squared
 
 and then updates the log-price with the variance increment substituted for
 one of its stochastic integrals, leaving a single Euler-approximated normal
-term per factor. Variance paths are exact and nonnegative by construction;
-no truncation appears anywhere on the AES code path.
+term sqrt(c3_j v_j) Z_j per factor. Given the variances, those terms are
+independent normals, so the kernel draws their sum as one normal of
+variance sum_j c3_j v_j: one log-price draw per step for any factor count,
+with the scheme's law unchanged. Variance paths are exact and nonnegative
+by construction; no truncation appears anywhere on the AES code path.
 
 The truncated Euler baseline applies the positive part to the full variance
 update and advances the log-price with Cholesky-correlated increments.
@@ -32,9 +35,10 @@ Heston is the one-factor case: both schemes loop over the tuple of
 ``VarianceFactor`` returned by ``params.factors()``, each factor with its own
 asset correlation, so there is one kernel per scheme for any factor count.
 
-Draw order is a contract (streams are replayable): per step, every variance
-draw first (factor 1, then factor 2, ...), then every log-price normal; Euler
-likewise draws all variance normals, then all asset normals. Paths are
+Draw order is a contract (streams are replayable): per step, AES makes every
+variance draw first (factor 1, then factor 2, ...), then one batch of
+log-price normals; Euler draws all variance normals, then all asset
+normals, one batch per factor each. Paths are
 generated in fixed blocks of ``BLOCK_SIZE``; block ``b`` consumes the stream
 keyed ``(seed, b)`` and writes its own row slice of the output in place, so a
 full block's paths are the same whatever the total path count, and whichever
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import validate
-from .sampling import _integral, rng_stream, sample_noncentral_chisq, sample_standard_normal
+from .sampling import _integral, _is_number, rng_stream, sample_noncentral_chisq, sample_standard_normal
 
 BLOCK_SIZE = 65536
 
@@ -80,6 +84,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not _is_number(self.maturity):
+            raise ValueError(f"maturity must be a number, got {self.maturity!r}")
         if not (np.isfinite(self.maturity) and self.maturity > 0.0):
             raise ValueError("maturity must be positive")
         object.__setattr__(self, "steps", _count("steps", self.steps))
@@ -170,6 +176,9 @@ def log_price_constants(r: float, factors, dt: float):
     and c3 are tuples with one entry per factor:
     c1_j = (rho_j kappa_j / gamma_j - 1/2) dt - rho_j / gamma_j,
     c2_j = rho_j / gamma_j, c3_j = (1 - rho_j^2) dt.
+    c1_j multiplies the left-point variance v_j and c2_j the next one; c3_j
+    multiplies v_j inside the step's one diffusion term,
+    sqrt(sum_j c3_j v_j) Z, with one standard normal Z for all factors.
     """
     c0 = r
     c1, c2, c3 = [], [], []
@@ -217,21 +226,25 @@ def _aes_block(params, grid, stream, growth, variances, positions):
     factors = params.factors()
     c0, c1, c2, c3 = log_price_constants(params.r, factors, dt)
     x, v = _start_block(factors, growth, variances, positions)
-    term = np.empty(count)
+    term, spare = np.empty(count), np.empty(count)
     for i in range(grid.steps):
         v_next = [cir_exact_step(stream, f, dt, vj) for f, vj in zip(factors, v)]
-        z = [sample_standard_normal(stream, size=count) for _ in factors]
-        # Drift terms, then the v_next terms, then the diffusion terms: any
+        z = sample_standard_normal(stream, size=count)
+        # Drift terms, then the v_next terms, then the diffusion term: any
         # other summation order changes the last bits of every path.
         x += c0
         for c, vj in zip(c1, v):
             x += np.multiply(vj, c, out=term)
         for c, vj in zip(c2, v_next):
             x += np.multiply(vj, c, out=term)
-        for c, vj, zj in zip(c3, v, z):
-            np.multiply(vj, c, out=term)
-            np.sqrt(term, out=term)
-            x += np.multiply(term, zj, out=term)
+        # Given the variances, the factors' terms sqrt(c3_j v_j) Z_j are
+        # independent normals, so one normal of variance sum_j c3_j v_j is
+        # their sum in law. With one factor these are the same operations.
+        np.multiply(v[0], c3[0], out=term)
+        for c, vj in zip(c3[1:], v[1:]):
+            term += np.multiply(vj, c, out=spare)
+        np.sqrt(term, out=term)
+        x += np.multiply(term, z, out=term)
         v = v_next
         _store(i + 1, x, v, growth, variances, positions)
 

@@ -305,6 +305,13 @@ BAD_REFERENCES = [
     ("reference-source-an-integer", "reference: {source: 5, prices: [1.0]}",
      "'reference.source' must be a string, got 5"),
 ]
+# a misspelled key, refused by name instead of run at its default; price drops the reference
+UNKNOWN_ENTRY_KEYS = [
+    ("unknown-key-run", "run: 1", "unknown key(s) in experiment entry 'bad': run"),
+    ("unknown-key-base-sed", "base_sed: 5", "unknown key(s) in experiment entry 'bad': base_sed"),
+]
+UNKNOWN_REFERENCE_KEY = ("unknown-reference-key", "reference: {price: [1.0]}",
+                         "unknown key(s) in 'reference': price")
 # files that are not a table config: each is refused by the file's name
 BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
               "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
@@ -353,6 +360,8 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
     (MODEL_NULL, "'model' must be a mapping, got None"),
     (PRESET_A_LIST, "'preset' must be a preset name, got [1]"),
     *((ENTRY + f"    preset: feller-holding\n    {reference}\n", named) for _, reference, named in BAD_REFERENCES),
+    *((ENTRY + f"    preset: feller-holding\n    {key}\n", named)
+      for _, key, named in [*UNKNOWN_ENTRY_KEYS, UNKNOWN_REFERENCE_KEY]),
     *NOT_A_TABLE,
 ], ids=["missing-model-field", "unknown-preset", "missing-key", "non-numeric-model-field",
         "dates-above-steps", "values-not-a-list", "reference-prices-not-a-list",
@@ -362,7 +371,8 @@ NOT_A_TABLE_IDS = ["invalid-yaml", "empty-file", "bare-entry", "no-entries", "en
         "double-heston-underscore-kind", "values-item-a-list", "values-item-a-bool",
         "strike-a-list", "strike-a-string", "maturity-a-string", "reference-prices-item-a-list",
         "name-an-integer", "name-a-path", "name-dotdot", "model-an-integer", "model-null",
-        "preset-a-list", *(case_id for case_id, _, _ in BAD_REFERENCES), *NOT_A_TABLE_IDS])
+        "preset-a-list", *(case_id for case_id, _, _ in BAD_REFERENCES),
+        *(case_id for case_id, _, _ in [*UNKNOWN_ENTRY_KEYS, UNKNOWN_REFERENCE_KEY]), *NOT_A_TABLE_IDS])
 def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(broken)
@@ -395,6 +405,19 @@ def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, caps
         main(["price", *(str(cfg) if a == "{config}" else a for a in argv)])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, named", [(key, named) for _, key, named in UNKNOWN_ENTRY_KEYS],
+                         ids=[case_id for case_id, _, _ in UNKNOWN_ENTRY_KEYS])
+def test_price_config_unknown_key_is_a_usage_error(key, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(ENTRY + f"    preset: feller-holding\n    {key}\n")
+    reports = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--config", str(cfg), "--out", str(reports)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not reports.exists()
 
 
 def test_feller_violation_warns_once_per_simulation(tmp_path, capsys):
@@ -579,8 +602,8 @@ GOLDEN_PRICE = [
       "mean(std_errors)": 0.10752072631319479, "runs": 2, "n_paths": 2000, "n_steps": 20,
       "len(schedule_indices)": 20, "scheme": "aes", "memory_bytes": 672000}),
     ("double-heston-american", ["--preset", "double-heston-zhang", "--american", *SMALL],
-     {"mean_price": 9.893213322140085, "run_std": 0.13871575164787123,
-      "mean(std_errors)": 0.24373041387584754, "runs": 2, "n_paths": 2000, "n_steps": 12,
+     {"mean_price": 9.555661049307291, "run_std": 0.36091251303816935,
+      "mean(std_errors)": 0.2410774276309986, "runs": 2, "n_paths": 2000, "n_steps": 12,
       "len(schedule_indices)": 12, "scheme": "aes", "memory_bytes": 624000}),
     ("config-vary-spot", ["--config", "{config}"],
      {"mean_price": 5.912835459192022, "run_std": 0.0, "mean(std_errors)": 0.14330565363221695,

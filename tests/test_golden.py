@@ -33,10 +33,10 @@ GOLDEN = [
       "824e655d49dae8a6955f7463b1a22e9b86f847c190e4171d9335c8b9c51490f1"),
      "3.194808012231085"),
     ("aes", "double-heston-zhang",
-     ("9ac126ca55996ec587f1aefbea283ddf4dad78f3a5828eaf357ef401d1625dad",
-      "5e9cbc3cf5a1c96bb8c30dc2e3dc0e8a7fd161b4e7b77ee3d77c8cf5a22b230f",
-      "5be3131b95e5c88214158b2ae8a2817bef120ff7b46265b124119d56d7d6509a"),
-     "9.602806990125979"),
+     ("5fe738c56e87b4343c14db26f2980ee05d4f20a7acf66739307113c14084eda2",
+      "4c3b3f3245e54b4c2cf5402b90eace2273647f75959f75b8639c2692ce8f77e4",
+      "4f61984728825318c782118bc42f26d8252863ba81db4c1ae94debdf65dd2a0c"),
+     "9.97806321970274"),
     ("euler", "feller-holding",
      ("740c1ce8bb58ad85c23c87296a4b864c0d21bbc2a87d909813ab6a6ab0e94fd1",
       "a5b6648aad0e41aaf745279c0eff92423cbff2342b9117e5e5b157f60821c0dd"),
@@ -74,9 +74,9 @@ GOLDEN_MULTI_BLOCK = [
      ("5b036969b855e34751769eec50511396891efdf0b1a4e557e4ca35ea7ab99be4",
       "fd7bdf3be27d4b3e84a10419a00a61c5aaeeafaebf1c770ccd41827360913d80")),
     ("aes", "double-heston-zhang",
-     ("9901fc67754130bbebc17ddeb153e92591b9af759d045527be632ea35b9aec96",
-      "aa8cb8054c5c6ad3801854747e018b895d0396a851518009c3956bb36c26b351",
-      "dd7818c75f5e272e39d5ff8197418243cf9774cd234e74ae94af2b3e40cc370c")),
+     ("8750a5af5c56ee550e65162233449877efc049239ce45e12986d27ecdd97223a",
+      "bd05d1ba5311abc5ffe7d53e65884759e5559a45f2cc20f591fb456d812630bb",
+      "9098de8bd4be8db2190aed5aceb4bb3a55d43ff503b56d3f6dbe6dc93c3378fe")),
     ("euler", "feller-violating",
      ("0844cc3f576304a7fc456fb4e8d3d8b0e728ba3b9da9146a896c2beef2f8faa0",
       "273d4cdd915c736c2e50cb8896f1aa58168779825cdad99e9368e5ce64e423b8")),
@@ -105,9 +105,9 @@ EXPERIMENT_RUNS = 2
 # (table, experiment, overrides, {case: repr of each run's price})
 GOLDEN_EXPERIMENTS = [
     ("5", "table5-aes", {},
-     {"K=56.9": ["6.8903582916355255", "6.9927819752883895"],
-      "K=61.9": ["9.480921398013065", "9.605739471042563"],
-      "K=66.9": ["12.451008753702567", "12.637898181898926"]}),
+     {"K=56.9": ["6.874956688449923", "6.949740396726852"],
+      "K=61.9": ["9.460290160960856", "9.600858897319048"],
+      "K=66.9": ["12.504380178342599", "12.644663711134724"]}),
     ("2", "table2-aes", {"values": (11.0, 12.0), "reference_prices": None},
      {"S0=11": ["0.20695210077268195", "0.20262045693051378"],
       "S0=12": ["0.07942874437432643", "0.07514031870839613"]}),
@@ -150,8 +150,8 @@ GOLDEN_FIGURES = [
       "table2-euler.csv": "3860a30d9696cb385e0984fa18f82832b9f117c436b4d6a4df0ea1bd7e63864a",
       "table2-euler.json": "11af41f8239b39ace172cd47135131465645168bd2c925443ee16f96e9074664"}),
     ("5", 500, 2,
-     {"table5-aes.csv": "e45915269d4e573fee60ca452e880d59d494a4dba2f1ea622ef95b9ed0139849",
-      "table5-aes.json": "999512bdf0998529f27e02cd6cbdb9f9f304c7092508f6a73903f5c72b7e0727",
+     {"table5-aes.csv": "17b39f96eb58b87579e26db45b1325e895b0eb3645094efcd69623793b91afbe",
+      "table5-aes.json": "85a6fbd3885ce2f2dc8c11f352085626a7eaf01ce395975532eb3ded86d8bd0d",
       "table5-euler.csv": "071dae268b11645acc70443f160b0a05d9d5e6c8d72930eef2dd96995f902b4b",
       "table5-euler.json": "7cb08cd97d5641129958757f874c18119e46087326bbf46268c1bf8b33c1d00a"}),
 ]

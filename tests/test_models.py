@@ -75,6 +75,9 @@ def test_put_payoff_rejects_bad_strike():
         PutPayoff(0.0)
     with pytest.raises(ParameterError):
         PutPayoff(-3.0)
+    for strike in (True, "10", None):
+        with pytest.raises(ParameterError, match=f"strike must be a number, got {strike!r}"):
+            PutPayoff(strike)
 
 
 def test_validate_names_offending_field():

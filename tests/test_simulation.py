@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from aesmc import simulation
 from aesmc.models import ParameterError, preset, VarianceFactor
@@ -47,6 +48,9 @@ def test_time_grid_rejects_bad_inputs():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 5)
+    for maturity in (True, "0.25", None):
+        with pytest.raises(ValueError, match=f"maturity must be a number, got {maturity!r}"):
+            TimeGrid(maturity, 5)
     for steps in (2.5, 0.5, True, False, float("nan"), "4"):
         with pytest.raises(ValueError, match=f"steps must be a positive integer, got {steps!r}"):
             TimeGrid(0.25, steps)
@@ -148,6 +152,21 @@ def test_double_heston_constants_zhang():
     assert c2[1] == -0.5 / 0.2   # -2.5
     assert c3[0] == (1 - 0.25) * (0.25 / 12)
     assert c3[1] == (1 - 0.25) * (0.25 / 12)
+
+
+@pytest.mark.parametrize("name", ["feller-holding", "feller-violating", "double-heston-zhang"])
+def test_aes_diffusion_term_is_one_normal_of_the_summed_variance(name):
+    # given both variance columns, the log-price residual of one AES step is
+    # N(0, sum_j c3_j v0_j): every factor's term, at the left-point variance
+    p = preset(name)
+    grid = TimeGrid(p.maturity, 1)
+    paths = simulate("aes", p.params, grid, 20_000, seed=11)
+    c0, c1, c2, c3 = log_price_constants(p.params.r, p.params.factors(), grid.dt)
+    v0, v1 = paths.variances[:, :, 0], paths.variances[:, :, 1]
+    residual = np.log(paths.growth[:, 1]) - c0 - np.dot(c1, v0) - np.dot(c2, v1)
+    var = float(np.dot(c3, v0[:, 0]))
+    assert stats.kstest(residual, "norm", args=(0.0, math.sqrt(var))).pvalue > 0.01
+    assert abs(residual.var(ddof=1) - var) <= 3 * var * math.sqrt(2 / (residual.size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +378,9 @@ def test_one_block_draws_on_the_calling_thread(monkeypatch, scheme, params):
             return fn(*args, **kwargs)
         monkeypatch.setattr(simulation, name, record)
     simulate(scheme, params, TimeGrid(0.25, 6), BLOCK_SIZE, seed=4)
-    draws_per_step = len(params.factors()) * (4 if scheme == "aes" else 2)
+    factors = len(params.factors())
+    # AES: three CIR calls per factor, then one log-price normal; Euler: two normals per factor
+    draws_per_step = factors * 3 + 1 if scheme == "aes" else factors * 2
     assert threads == [threading.get_ident()] * 6 * draws_per_step
 
 
