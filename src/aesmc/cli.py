@@ -6,15 +6,16 @@ from the first entry of --config, and turns its flags into one catalog
 entry: each flag's dest is the entry key it sets (``--steps`` is
 ``n_steps``, ``--spot`` the model's ``s0``), so a flag means what the
 same YAML key means in a config file, and a flag is given when its value is
-not None. ``price`` starts from ``PRICE_ENTRY`` and builds the entry's spec
-with ``catalog.experiment_from_entry``, and its --json and --out give the
-run's report through ``experiments.report_json`` and ``emit_report``, as
-``tables`` does.
+not None. ``price`` starts from ``PRICE_ENTRY``, checks the whole entry with
+``catalog.experiment_from_entry`` before it takes one case, and its --json
+and --out give the run's report through ``experiments.report_json`` and
+``emit_report``, as ``tables`` does.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +31,31 @@ PRICE_ENTRY = {"scheme": "aes", "n_steps": 12, "schedule": "american", "n_paths"
 OWN_DESTS = {"command", "func", "subparser", "config", "json", "out"}
 
 
-def _entry(args) -> dict:
-    """The one catalog entry the flags describe.
+def _spec(args, parser) -> experiments.ExperimentSpec:
+    """The checked spec of the entry the flags describe, narrowed to its one case.
 
-    ``PRICE_ENTRY``, then the first entry of --config, then every flag given
-    (even one given at its built-in value), each layer overriding the one
-    before; --spot overrides the model's s0 alone. The entry keeps one case:
-    the --spot or --strike its ``vary`` names, else its first value, else
-    its model's spot or strike.
+    The entry is ``PRICE_ENTRY``, then the first entry of --config, then every
+    flag given (even one given at its built-in value), each layer overriding
+    the one before; --spot overrides the model's s0 alone, and an entry with
+    no values takes its model's spot or strike. The whole entry is checked as
+    ``tables --config`` checks it; its one case is then the --spot or --strike
+    its ``vary`` names, else its first value, and it keeps no reference.
     """
     entry = {"name": "price", **PRICE_ENTRY}
-    if args.config:
-        entry.update(catalog.table_entries(args.config)[0])
-        entry.pop("reference", None)
-    given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
-    if "s0" in given and isinstance(entry.get("model", {}), dict):  # catalog refuses any other model
-        given["model"] = {**entry.get("model", {}), "s0": given.pop("s0")}
-    entry.update(given)
-    spot = entry["vary"] == "spot"
-    if getattr(args, "s0" if spot else "strike") is not None or "values" not in entry:
-        model, strike, _ = catalog._model_from_entry(entry)
-        entry["values"] = [model.s0 if spot else strike]
-    if isinstance(entry["values"], list):
-        entry["values"] = entry["values"][:1]
-    return entry
-
-
-def _spec(args, parser) -> experiments.ExperimentSpec:
     try:
-        return catalog.experiment_from_entry(_entry(args))
+        if args.config:
+            entry.update(catalog.table_entries(args.config)[0])
+        given = {k: v for k, v in vars(args).items() if v is not None and k not in OWN_DESTS}
+        if "s0" in given and isinstance(entry.get("model", {}), dict):  # catalog refuses any other model
+            given["model"] = {**entry.get("model", {}), "s0": given.pop("s0")}
+        entry.update(given)
+        if "values" not in entry:
+            model, strike, _ = catalog._model_from_entry(entry)
+            entry["values"] = [model.s0 if entry["vary"] == "spot" else strike]
+        spec = catalog.experiment_from_entry(entry)
+        chosen = args.s0 if spec.vary == "spot" else args.strike
+        return replace(spec, values=[spec.values[0] if chosen is None else chosen],
+                       reference_prices=None, reference_source="")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -76,9 +73,11 @@ def _refuse_below_one(parser, counts: dict):
 def cmd_price(args, parser) -> int:
     _refuse_below_one(parser, {"--runs": args.runs, "--steps": args.n_steps, "--paths": args.n_paths,
                                "--dates": args.schedule})
-    report = experiments.run_experiment(_spec(args, parser))
+    spec = _spec(args, parser)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
+    report = experiments.run_experiment(spec)
+    if args.out:
         experiments.emit_report(report, Path(args.out) / report.experiment)
     case = report.cases[0]
     if args.json:

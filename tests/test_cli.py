@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_golden import untimed_text
 
+from aesmc.catalog import TABLE_IDS
 from aesmc.cli import build_parser, main
 from aesmc.experiments import DESK_RUNS
 from aesmc.models import FellerWarning
@@ -305,13 +306,19 @@ BAD_REFERENCES = [
     ("reference-source-an-integer", "reference: {source: 5, prices: [1.0]}",
      "'reference.source' must be a string, got 5"),
 ]
-# a misspelled key, refused by name instead of run at its default; price drops the reference
+# a misspelled key, refused by name instead of run at its default
 UNKNOWN_ENTRY_KEYS = [
     ("unknown-key-run", "run: 1", "unknown key(s) in experiment entry 'bad': run"),
     ("unknown-key-base-sed", "base_sed: 5", "unknown key(s) in experiment entry 'bad': base_sed"),
 ]
 UNKNOWN_REFERENCE_KEY = ("unknown-reference-key", "reference: {price: [1.0]}",
                          "unknown key(s) in 'reference': price")
+# an entry whose first value is sound and whose second is not
+SECOND_VALUE_BROKEN = [
+    ("second-value-a-string", "values: [9.0, 'x']", "'values' must be a list of numbers, got [9.0, 'x']"),
+    ("second-value-a-bool", "values: [9.0, true]", "'values' must be a list of numbers, got [9.0, True]"),
+    ("second-value-negative", "values: [9.0, -5.0]", "values must be positive"),
+]
 # files that are not a table config: each is refused by the file's name
 BARE_ENTRY = ("name: bad\npreset: feller-holding\nscheme: aes\nn_paths: 100\nn_steps: 2\n"
               "schedule: american\nvary: spot\nvalues: [9.0]\nruns: 1\n")
@@ -396,8 +403,18 @@ def test_tables_config_entry_errors_are_usage_errors(broken, named, tmp_path, ca
     # --spot writes into the entry's model, which must be a mapping
     (["--config", "{config}", "--spot", "95"], MODEL_AN_INTEGER, "'model' must be a mapping, got 5"),
     *((["--config", "{config}"], config, named) for config, named in NOT_A_TABLE),
+    # the whole first entry is checked before price takes its one case
+    *((["--config", "{config}"], ENTRY + f"    preset: feller-holding\n    {reference}\n", named)
+      for _, reference, named in [*BAD_REFERENCES, UNKNOWN_REFERENCE_KEY]),
+    *((["--config", "{config}"], ENTRY.replace("values: [9.0]", values) + "    preset: feller-holding\n",
+       named) for _, values, named in SECOND_VALUE_BROKEN),
+    (["--config", "{config}"], ENTRY.replace("values: [9.0]", "values: [9.0, 11.0]")
+     + "    preset: feller-holding\n    reference: {prices: [1.0]}\n",
+     "reference_prices length must match values"),
 ], ids=["dates-above-steps", "non-numeric-model-field", "values-not-a-list", "gamma-negative",
-        "inline-model-without-s0", "model-an-integer-with-spot", *NOT_A_TABLE_IDS])
+        "inline-model-without-s0", "model-an-integer-with-spot", *NOT_A_TABLE_IDS,
+        *(case_id for case_id, _, _ in [*BAD_REFERENCES, UNKNOWN_REFERENCE_KEY]),
+        *(case_id for case_id, _, _ in SECOND_VALUE_BROKEN), "reference-prices-fewer-than-values"])
 def test_price_entry_errors_are_usage_errors(argv, config, named, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(config)
@@ -418,6 +435,32 @@ def test_price_config_unknown_key_is_a_usage_error(key, named, tmp_path, capsys)
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
     assert not reports.exists()
+
+
+def test_price_makes_out_before_it_simulates(tmp_path, monkeypatch, capsys):
+    # an --out that cannot be a directory costs no run, as with tables --out
+    from aesmc import experiments
+    calls = []
+    real_simulate = experiments.simulate
+
+    def simulate(*args, **kwargs):
+        calls.append(args)
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", simulate)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["price", "--preset", "feller-holding", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("table", TABLE_IDS)
+def test_price_config_prices_each_built_in_table_entry(table, capsys):
+    # the whole-entry check refuses nothing a shipped table config holds, references included
+    cfg = str(resources.files("aesmc.configs").joinpath(f"table{table}.yaml"))
+    assert main(["price", "--config", cfg, "--paths", "200", "--runs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("price ")
 
 
 def test_feller_violation_warns_once_per_simulation(tmp_path, capsys):
